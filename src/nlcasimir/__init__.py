@@ -11,8 +11,9 @@ in :mod:`nlcasimir.reflection`, the pressure engine in
 from .constants import CONSTANTS, MatsubaraPoint, matsubara_xi, pressure_to_pascal
 from .errors import (ConvergenceError, DomainError, ParseError,
                      UnsupportedOperationError)
-from .kramers_kronig import (KKReport, PVSettings, pv_integral,
-                             verify_kk_imag_axis_T, verify_kk_imag_from_real_T,
+from .kramers_kronig import (RELATIONS, KKReport, PVSettings, pv_integral,
+                             verify_kk, verify_kk_imag_axis_T,
+                             verify_kk_imag_from_real_T,
                              verify_kk_real_from_imag_T, verify_kk_L)
 from .lifshitz import (PressureQuery, PressureResult, casimir_pressure,
                        classical_limit_pressure, ideal_metal_pressure_zero_t)
@@ -35,7 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CONSTANTS", "MatsubaraPoint", "matsubara_xi", "pressure_to_pascal",
     "ConvergenceError", "DomainError", "ParseError", "UnsupportedOperationError",
-    "KKReport", "PVSettings", "pv_integral", "verify_kk_imag_axis_T",
+    "RELATIONS", "KKReport", "PVSettings", "pv_integral", "verify_kk",
+    "verify_kk_imag_axis_T",
     "verify_kk_imag_from_real_T", "verify_kk_real_from_imag_T", "verify_kk_L",
     "PressureQuery", "PressureResult", "casimir_pressure",
     "classical_limit_pressure", "ideal_metal_pressure_zero_t",

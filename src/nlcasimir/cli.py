@@ -20,8 +20,9 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConvergenceError, DomainError, ParseError
-from .kramers_kronig import (KKReport, verify_kk_imag_axis_T,
-                             verify_kk_imag_from_real_T,
+# perfbench/tracing.py wraps the four verify_kk_* names in this module
+from .kramers_kronig import (RELATIONS, KKReport, verify_kk,  # noqa: F401
+                             verify_kk_imag_axis_T, verify_kk_imag_from_real_T,
                              verify_kk_real_from_imag_T, verify_kk_L)
 from .lifshitz import PressureQuery, casimir_pressure
 from .optical_data import build_core_table, interband_im_eps, parse_optical_table
@@ -31,9 +32,6 @@ from .response import (Drude, DrudeParams, NonlocalAlt, NonlocalParams,
                        eval_real_axis)
 from .sphere_plate import SpherePlateConfig, force_gradient, parse_experiment_csv
 
-_T_RELATIONS = ("t-real-from-imag", "t-imag-from-real", "t-imag-axis")
-_L_RELATIONS = ("l-real-from-imag", "l-imag-from-real", "l-imag-axis")
-_ALL_RELATIONS = _T_RELATIONS + _L_RELATIONS
 _KK_THRESHOLD = 1e-4
 # imaginary-axis grid used when tabulating an interband core
 _CORE_XI_GRID = np.geomspace(1e-3, 1e2, 121)
@@ -148,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="transverse wavevector as hbar c k in eV")
     p_kk.add_argument("--relations", default="all",
                       help="'all' or comma list from: "
-                           + ", ".join(_ALL_RELATIONS))
+                           + ", ".join(RELATIONS))
     return parser
 
 
@@ -194,29 +192,17 @@ def _build_model(name: str, cfg: RunConfig, core):
     return model
 
 
-def _meta_line(cfg: RunConfig, extra: dict) -> str:
-    vf = CONSTANTS.fermi_velocity_ratio_default
-    fields = {
-        "omega_p_eV": _fmt(cfg.params.drude.omega_p),
-        "gamma_eV": _fmt(cfg.params.drude.gamma),
-        "vt_over_vF": _fmt(cfg.params.v_t_ratio / vf),
-        "vl_over_vF": _fmt(cfg.params.v_l_ratio / vf),
-        "temp_K": _fmt(cfg.temperature),
-    }
-    if cfg.optical_data:
-        fields["optical_data"] = cfg.optical_data
-    fields.update(extra)
-    return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
-
-
-def _meta_dict(cfg: RunConfig, extra: dict) -> dict:
+def _meta(cfg: RunConfig, extra: dict) -> dict:
+    """Run parameters, then extra; floats as 9-digit text for CSV and as
+    floats rounded to 9 digits for JSON."""
+    num = _fmt if cfg.fmt == "csv" else _round9
     vf = CONSTANTS.fermi_velocity_ratio_default
     meta = {
-        "omega_p_eV": _round9(cfg.params.drude.omega_p),
-        "gamma_eV": _round9(cfg.params.drude.gamma),
-        "vt_over_vF": _round9(cfg.params.v_t_ratio / vf),
-        "vl_over_vF": _round9(cfg.params.v_l_ratio / vf),
-        "temp_K": _round9(cfg.temperature),
+        "omega_p_eV": num(cfg.params.drude.omega_p),
+        "gamma_eV": num(cfg.params.drude.gamma),
+        "vt_over_vF": num(cfg.params.v_t_ratio / vf),
+        "vl_over_vF": num(cfg.params.v_l_ratio / vf),
+        "temp_K": num(cfg.temperature),
     }
     if cfg.optical_data:
         meta["optical_data"] = cfg.optical_data
@@ -224,14 +210,18 @@ def _meta_dict(cfg: RunConfig, extra: dict) -> dict:
     return meta
 
 
+def _csv(cfg: RunConfig, extra: dict, header: List[str], lines) -> str:
+    meta = " ".join(f"{k}={v}" for k, v in _meta(cfg, extra).items())
+    return "\n".join([f"# {meta}", ",".join(header), *lines]) + "\n"
+
+
 def _emit_table(cfg: RunConfig, meta: dict, header: List[str],
                 rows: List[List[float]]) -> str:
     if cfg.fmt == "csv":
-        lines = [_meta_line(cfg, meta), ",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
+        return _csv(cfg, meta, header,
+                    (",".join(_fmt(v) for v in row) for row in rows))
     payload = {
-        "meta": _meta_dict(cfg, meta),
+        "meta": _meta(cfg, meta),
         "columns": header,
         "rows": [[_round9(v) for v in row] for row in rows],
     }
@@ -362,12 +352,12 @@ def _cmd_reflectance(args, cfg: RunConfig) -> str:
 
 def _select_relations(spec: str) -> List[str]:
     if spec.strip() == "all":
-        return list(_ALL_RELATIONS)
+        return list(RELATIONS)
     names = [n.strip() for n in spec.split(",") if n.strip()]
-    unknown = [n for n in names if n not in _ALL_RELATIONS]
+    unknown = [n for n in names if n not in RELATIONS]
     if unknown:
         raise DomainError(f"unknown relation ids {unknown}; choose from "
-                          f"{', '.join(_ALL_RELATIONS)}")
+                          f"{', '.join(RELATIONS)}")
     if not names:
         raise DomainError("--relations must name at least one relation")
     return names
@@ -388,31 +378,21 @@ def _report_dict(report: KKReport) -> dict:
 
 def _cmd_kk_verify(args, cfg: RunConfig) -> tuple:
     wanted = _select_relations(args.relations)
-    params = cfg.params
     k = args.kperp
-    reports = {}
-    if "t-real-from-imag" in wanted:
-        reports["t-real-from-imag"] = verify_kk_real_from_imag_T(params, k)
-    if "t-imag-from-real" in wanted:
-        reports["t-imag-from-real"] = verify_kk_imag_from_real_T(params, k)
-    if "t-imag-axis" in wanted:
-        reports["t-imag-axis"] = verify_kk_imag_axis_T(params, k)
-    if any(r in wanted for r in _L_RELATIONS):
-        for report in verify_kk_L(params, k):
-            if report.relation in wanted:
-                reports[report.relation] = report
+    # table order, so that which input error is reported does not depend
+    # on the order of --relations
+    reports = {rid: verify_kk(rid, cfg.params, k)
+               for rid in RELATIONS if rid in wanted}
     ordered = [reports[name] for name in wanted]
 
     if cfg.fmt == "json":
         text = json.dumps([_report_dict(r) for r in ordered], indent=2) + "\n"
     else:
-        lines = [_meta_line(cfg, {"command": "kk-verify",
-                                  "kperp_eV": _fmt(k)}),
-                 "relation,grid_eV,residual"]
-        for rep in ordered:
-            for x, res in zip(rep.grid, rep.residuals):
-                lines.append(f"{rep.relation},{_fmt(x)},{_fmt(res)}")
-        text = "\n".join(lines) + "\n"
+        text = _csv(cfg, {"command": "kk-verify", "kperp_eV": _fmt(k)},
+                    ["relation", "grid_eV", "residual"],
+                    (f"{rep.relation},{_fmt(x)},{_fmt(res)}"
+                     for rep in ordered
+                     for x, res in zip(rep.grid, rep.residuals)))
     failed = any(r.max_residual > _KK_THRESHOLD for r in ordered)
     return text, failed
 

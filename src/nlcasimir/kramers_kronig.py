@@ -11,11 +11,17 @@ before the dispersion integrals converge.  The longitudinal component at
 v_L k_hat > 0 is regular down to zero frequency and satisfies the plain
 insulator-form relations with no subtraction at all.
 
+The six relations differ only in their component (eps_T or eps_L), their
+kernel (which part of eps is integrated and which value it rebuilds) and
+the transverse pole subtraction.  RELATIONS has one row per relation id
+and verify_kk runs a row on a grid; the four verify_kk_* functions are
+the same checks under their older names, with the formulas written out.
+
 All integrals are folded onto (0, cutoff) using the Hermitian symmetry
 eps(-x) = conj(eps(x)) that the underlying models obey, so the kernels
 below are the folded ones: (x^2 - omega^2) in place of (x - omega).
 
-verify_* functions return KKReport records with residuals normalized by
+Reports are KKReport records with residuals normalized by
 max(|LHS|, |RHS|, 1), which stays meaningful both where eps is huge and
 where it is close to 1.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -159,14 +165,135 @@ def _residual(lhs, rhs):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def _require_dissipation(params: NonlocalParams):
-    if params.drude.gamma <= 0.0:
+_EPS_L, _EPS_T = 0, 1          # EpsPair fields
+
+
+class Kernel(NamedTuple):
+    """What a relation integrates and rebuilds, whatever the component.
+
+    integrand(model, k_hat, part, w, pole_weight) is the function of x
+    sampled for grid point w; it indexes the EpsPair inline because one
+    more Python call per sample costs about 5% of a kk-verify run.
+    """
+
+    real_axis: bool        # grid of omega, principal value at x = omega
+    integrand: Callable
+    rebuild: Callable      # (w, integral) -> right-hand side
+    target: Callable       # (model, w, k_hat, part) -> left-hand side
+
+
+def _one_plus_spectral(w, integral):
+    return 1.0 + (2.0 / math.pi) * integral
+
+
+_REAL_FROM_IMAG = Kernel(
+    True,
+    lambda model, k_hat, part, om, pole_weight: lambda x: (
+        x * eval_real_axis(model, x, k_hat)[part].imag / (x * x - om * om)),
+    _one_plus_spectral,
+    lambda model, om, k_hat, part: eval_real_axis(model, om, k_hat)[part].real)
+# pole_weight / x^2 cancels the second-order pole of Re eps_T at x = 0,
+# without which the integral does not exist; eps_L has weight 0
+_IMAG_FROM_REAL = Kernel(
+    True,
+    lambda model, k_hat, part, om, pole_weight: lambda x: (
+        (eval_real_axis(model, x, k_hat)[part].real + pole_weight / (x * x))
+        / (x * x - om * om)),
+    lambda om, integral: -(2.0 * om / math.pi) * integral,
+    lambda model, om, k_hat, part: eval_real_axis(model, om, k_hat)[part].imag)
+_IMAG_AXIS = Kernel(
+    False,
+    lambda model, k_hat, part, xi, pole_weight: lambda x: (
+        x * eval_real_axis(model, x, k_hat)[part].imag / (x * x + xi * xi)),
+    _one_plus_spectral,
+    lambda model, xi, k_hat, part: eval_imag_axis(model, xi, k_hat)[part])
+
+
+class Relation(NamedTuple):
+    """One row of RELATIONS."""
+
+    part: int              # _EPS_T or _EPS_L
+    kernel: Kernel
+    # (w, pole_weight, 4 pi sigma_0) -> pole term added to the right-hand
+    # side; transverse only
+    subtraction: Optional[Callable] = None
+    note: str = ""         # reported while eps_L is in its conducting limit
+
+
+RELATIONS = {
+    "t-real-from-imag": Relation(
+        _EPS_T, _REAL_FROM_IMAG, lambda om, weight, sigma: -weight / (om * om)),
+    "t-imag-from-real": Relation(
+        _EPS_T, _IMAG_FROM_REAL, lambda om, weight, sigma: sigma / om),
+    "t-imag-axis": Relation(
+        _EPS_T, _IMAG_AXIS, lambda xi, weight, sigma: weight / (xi * xi)),
+    "l-real-from-imag": Relation(_EPS_L, _REAL_FROM_IMAG),
+    "l-imag-from-real": Relation(
+        _EPS_L, _IMAG_FROM_REAL,
+        note="conducting limit: insulator-form relation omits the "
+             "static-conductivity pole and fails by construction"),
+    "l-imag-axis": Relation(_EPS_L, _IMAG_AXIS),
+}
+
+
+def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
+    """Check the inputs for one component and return (quadrature break
+    points, pole weight omega_p^2 v_T k_hat / gamma, 4 pi sigma_0)."""
+    p = params.drude
+    transverse = part == _EPS_T
+    if transverse and p.gamma <= 0.0:
         raise DomainError("transverse dispersion relations need gamma > 0")
-
-
-def _require_k(k_hat):
     if k_hat < 0.0:
         raise DomainError(f"k_hat must be >= 0, got {k_hat}")
+    if transverse:
+        return ((p.gamma,), p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma,
+                FOUR_PI * static_transverse_conductivity(params, k_hat))
+    vlk = params.v_l_ratio * k_hat
+    if p.gamma == 0.0 and vlk == 0.0:
+        raise DomainError(
+            "longitudinal response has an undamped real-axis pole when "
+            "gamma = 0 and v_L k_hat = 0")
+    if not include_pole_terms:
+        raise DomainError("longitudinal relations carry no pole subtraction "
+                          "to drop")
+    return (p.gamma, vlk), 0.0, None
+
+
+def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
+              *, settings: Optional[PVSettings] = None,
+              include_pole_terms: bool = True) -> KKReport:
+    """Check one relation of RELATIONS pointwise on grid.
+
+    grid holds omega, or xi for the imaginary-axis relations (default: 13
+    points geometric in [0.05, 5] eV).  include_pole_terms = False drops
+    the transverse pole subtraction as a negative control; longitudinal
+    relations have none to drop and raise DomainError.
+    """
+    rel = RELATIONS.get(relation)
+    if rel is None:
+        raise DomainError(f"unknown relation id {relation!r}; choose from "
+                          f"{', '.join(RELATIONS)}")
+    hints, pole_weight, sigma_term = _component_terms(
+        rel.part, params, k_hat, include_pole_terms)
+    kernel = rel.kernel
+    g = _resolve_grid(grid, "omega_grid" if kernel.real_axis else "xi_grid")
+    s = settings if settings is not None else _VERIFY_SETTINGS
+    model = NonlocalAlt(params)
+
+    residuals = []
+    for w in g:
+        f = kernel.integrand(model, k_hat, rel.part, w, pole_weight)
+        integral = pv_integral(f, pole=w if kernel.real_axis else None,
+                               settings=s, lo=0.0, points=hints)
+        rhs = kernel.rebuild(w, integral)
+        if include_pole_terms and rel.subtraction is not None:
+            rhs += rel.subtraction(w, pole_weight, sigma_term)
+        lhs = kernel.target(model, w, k_hat, rel.part)
+        residuals.append(_residual(lhs, rhs))
+    conducting = params.drude.gamma == 0.0 or params.v_l_ratio * k_hat == 0.0
+    return KKReport(relation, float(k_hat), tuple(float(x) for x in g),
+                    tuple(residuals), max(residuals),
+                    note=rel.note if conducting else "")
 
 
 def verify_kk_real_from_imag_T(params: NonlocalParams, k_hat: float,
@@ -180,29 +307,8 @@ def verify_kk_real_from_imag_T(params: NonlocalParams, k_hat: float,
     last piece is the second-order-pole subtraction; include_pole_terms
     = False drops it and serves as the negative control.
     """
-    _require_dissipation(params)
-    _require_k(k_hat)
-    grid = _resolve_grid(omega_grid, "omega_grid")
-    s = settings if settings is not None else _VERIFY_SETTINGS
-    model = NonlocalAlt(params)
-    p = params.drude
-    pole_weight = p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma
-    hints = (p.gamma,)
-
-    residuals = []
-    for om in grid:
-        def num(x, om=om):
-            im = eval_real_axis(model, x, k_hat).eps_t.imag
-            return x * im / (x * x - om * om)
-        pv = pv_integral(num, pole=om, settings=s, lo=0.0, points=hints)
-        rhs = 1.0 + (2.0 / math.pi) * pv
-        if include_pole_terms:
-            rhs -= pole_weight / (om * om)
-        lhs = eval_real_axis(model, om, k_hat).eps_t.real
-        residuals.append(_residual(lhs, rhs))
-    return KKReport("t-real-from-imag", float(k_hat),
-                    tuple(float(x) for x in grid), tuple(residuals),
-                    max(residuals))
+    return verify_kk("t-real-from-imag", params, k_hat, omega_grid,
+                     settings=settings, include_pole_terms=include_pole_terms)
 
 
 def verify_kk_imag_from_real_T(params: NonlocalParams, k_hat: float,
@@ -219,30 +325,8 @@ def verify_kk_imag_from_real_T(params: NonlocalParams, k_hat: float,
     first-order-pole piece that include_pole_terms = False drops for the
     negative control.
     """
-    _require_dissipation(params)
-    _require_k(k_hat)
-    grid = _resolve_grid(omega_grid, "omega_grid")
-    s = settings if settings is not None else _VERIFY_SETTINGS
-    model = NonlocalAlt(params)
-    p = params.drude
-    pole_weight = p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma
-    sigma_term = FOUR_PI * static_transverse_conductivity(params, k_hat)
-    hints = (p.gamma,)
-
-    residuals = []
-    for om in grid:
-        def num(x, om=om):
-            re = eval_real_axis(model, x, k_hat).eps_t.real
-            return (re + pole_weight / (x * x)) / (x * x - om * om)
-        pv = pv_integral(num, pole=om, settings=s, lo=0.0, points=hints)
-        rhs = -(2.0 * om / math.pi) * pv
-        if include_pole_terms:
-            rhs += sigma_term / om
-        lhs = eval_real_axis(model, om, k_hat).eps_t.imag
-        residuals.append(_residual(lhs, rhs))
-    return KKReport("t-imag-from-real", float(k_hat),
-                    tuple(float(x) for x in grid), tuple(residuals),
-                    max(residuals))
+    return verify_kk("t-imag-from-real", params, k_hat, omega_grid,
+                     settings=settings, include_pole_terms=include_pole_terms)
 
 
 def verify_kk_imag_axis_T(params: NonlocalParams, k_hat: float,
@@ -256,29 +340,8 @@ def verify_kk_imag_axis_T(params: NonlocalParams, k_hat: float,
     the real axis, but the second-order-pole term survives and is again
     the include_pole_terms piece.
     """
-    _require_dissipation(params)
-    _require_k(k_hat)
-    grid = _resolve_grid(xi_grid, "xi_grid")
-    s = settings if settings is not None else _VERIFY_SETTINGS
-    model = NonlocalAlt(params)
-    p = params.drude
-    pole_weight = p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma
-    hints = (p.gamma,)
-
-    residuals = []
-    for xi in grid:
-        def num(x, xi=xi):
-            im = eval_real_axis(model, x, k_hat).eps_t.imag
-            return x * im / (x * x + xi * xi)
-        integral = pv_integral(num, settings=s, lo=0.0, points=hints)
-        rhs = 1.0 + (2.0 / math.pi) * integral
-        if include_pole_terms:
-            rhs += pole_weight / (xi * xi)
-        lhs = eval_imag_axis(model, xi, k_hat).eps_t
-        residuals.append(_residual(lhs, rhs))
-    return KKReport("t-imag-axis", float(k_hat),
-                    tuple(float(x) for x in grid), tuple(residuals),
-                    max(residuals))
+    return verify_kk("t-imag-axis", params, k_hat, xi_grid,
+                     settings=settings, include_pole_terms=include_pole_terms)
 
 
 def verify_kk_L(params: NonlocalParams, k_hat: float,
@@ -295,59 +358,9 @@ def verify_kk_L(params: NonlocalParams, k_hat: float,
     insulator form lacks.  That report is computed anyway and flagged in
     its note, since the failure is structural rather than numerical.
     """
-    _require_k(k_hat)
-    p = params.drude
-    vlk = params.v_l_ratio * k_hat
-    if p.gamma == 0.0 and vlk == 0.0:
-        raise DomainError(
-            "longitudinal response has an undamped real-axis pole when "
-            "gamma = 0 and v_L k_hat = 0")
-    omegas = _resolve_grid(omega_grid, "omega_grid")
-    xis = _resolve_grid(xi_grid, "xi_grid")
-    s = settings if settings is not None else _VERIFY_SETTINGS
-    model = NonlocalAlt(params)
-    hints = (p.gamma, vlk)
-
-    res_a = []
-    for om in omegas:
-        def num(x, om=om):
-            im = eval_real_axis(model, x, k_hat).eps_l.imag
-            return x * im / (x * x - om * om)
-        pv = pv_integral(num, pole=om, settings=s, lo=0.0, points=hints)
-        rhs = 1.0 + (2.0 / math.pi) * pv
-        lhs = eval_real_axis(model, om, k_hat).eps_l.real
-        res_a.append(_residual(lhs, rhs))
-
-    res_b = []
-    for om in omegas:
-        def num(x, om=om):
-            re = eval_real_axis(model, x, k_hat).eps_l.real
-            return re / (x * x - om * om)
-        pv = pv_integral(num, pole=om, settings=s, lo=0.0, points=hints)
-        rhs = -(2.0 * om / math.pi) * pv
-        lhs = eval_real_axis(model, om, k_hat).eps_l.imag
-        res_b.append(_residual(lhs, rhs))
-
-    res_c = []
-    for xi in xis:
-        def num(x, xi=xi):
-            im = eval_real_axis(model, x, k_hat).eps_l.imag
-            return x * im / (x * x + xi * xi)
-        integral = pv_integral(num, settings=s, lo=0.0, points=hints)
-        rhs = 1.0 + (2.0 / math.pi) * integral
-        lhs = eval_imag_axis(model, xi, k_hat).eps_l
-        res_c.append(_residual(lhs, rhs))
-
-    note_b = ""
-    if vlk == 0.0 or p.gamma == 0.0:
-        note_b = ("conducting limit: insulator-form relation omits the "
-                  "static-conductivity pole and fails by construction")
-    omega_t = tuple(float(x) for x in omegas)
-    return (
-        KKReport("l-real-from-imag", float(k_hat), omega_t,
-                 tuple(res_a), max(res_a)),
-        KKReport("l-imag-from-real", float(k_hat), omega_t,
-                 tuple(res_b), max(res_b), note=note_b),
-        KKReport("l-imag-axis", float(k_hat),
-                 tuple(float(x) for x in xis), tuple(res_c), max(res_c)),
-    )
+    return (verify_kk("l-real-from-imag", params, k_hat, omega_grid,
+                      settings=settings),
+            verify_kk("l-imag-from-real", params, k_hat, omega_grid,
+                      settings=settings),
+            verify_kk("l-imag-axis", params, k_hat, xi_grid,
+                      settings=settings))

@@ -64,10 +64,11 @@ class PressureQuery:
     term_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.separation <= 0.0:
-            raise DomainError(f"separation must be positive, got {self.separation}")
-        if self.temperature <= 0.0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
+        # written so that NaN fails too
+        if not 0.0 < self.separation < math.inf:
+            raise DomainError(f"separation must be finite and positive, got {self.separation}")
+        if not 0.0 < self.temperature < math.inf:
+            raise DomainError(f"temperature must be finite and positive, got {self.temperature}")
         for name, tol in (("quad_tol", self.quad_tol), ("term_tol", self.term_tol)):
             if not 0.0 < tol <= 1e-3:
                 raise DomainError(f"{name} must lie in (0, 1e-3], got {tol}")
@@ -133,6 +134,16 @@ def _adaptive_integral(f, lo, rel_tol, max_refinements=60):
         last_estimate=total)
 
 
+def _summand(y, r):
+    """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y."""
+    ey = np.exp(-y)
+    total = np.zeros_like(y)
+    for amp in (r.r_tm, r.r_te):
+        w = amp * amp * ey
+        total += w / (1.0 - w)
+    return y * y * total
+
+
 def _block_integrals(model, xi, y_lo, a_um):
     """Initial-layout quadrature for a block of Matsubara terms at once.
 
@@ -145,13 +156,7 @@ def _block_integrals(model, xi, y_lo, a_um):
     col = y_lo[:, None]
     y = np.concatenate([col + _OFF_HI, col + _OFF_LO], axis=1)
     k_hat = np.sqrt(np.maximum((c1 * y) ** 2 - (xi * xi)[:, None], 0.0))
-    r = reflection_pair(model, xi[:, None], k_hat)
-    ey = np.exp(-y)
-    total = np.zeros_like(y)
-    for amp in (r.r_tm, r.r_te):
-        w = amp * amp * ey
-        total += w / (1.0 - w)
-    vals = y * y * total
+    vals = _summand(y, reflection_pair(model, xi[:, None], k_hat))
     n_hi = _OFF_HI.size
     shape = (len(y_lo), len(_PANEL_HALF))
     i_hi = vals[:, :n_hi].reshape(*shape, -1) @ _WEIGHTS_HI * _PANEL_HALF
@@ -164,17 +169,9 @@ def _term_integrand(model, xi, a_um, zero_mode):
 
     def f(y):
         if zero_mode:
-            k_hat = c1 * y
-            r = zero_freq_limit(model, k_hat)
-        else:
-            k_hat = np.sqrt(np.maximum((c1 * y) ** 2 - xi * xi, 0.0))
-            r = reflection_pair(model, xi, k_hat)
-        ey = np.exp(-y)
-        total = np.zeros_like(y)
-        for amp in (r.r_tm, r.r_te):
-            w = amp * amp * ey
-            total += w / (1.0 - w)
-        return y * y * total
+            return _summand(y, zero_freq_limit(model, c1 * y))
+        k_hat = np.sqrt(np.maximum((c1 * y) ** 2 - xi * xi, 0.0))
+        return _summand(y, reflection_pair(model, xi, k_hat))
 
     return f
 

@@ -137,14 +137,17 @@ class CoreTable:
         if np.any(np.diff(self.xi_grid) <= 0.0) or self.xi_grid[0] <= 0.0:
             raise DomainError("core grid must be positive and increasing")
 
-    def value_at(self, xi: float) -> float:
-        if xi <= 0.0:
-            raise DomainError(f"xi must be positive, got {xi}")
-        grid = self.xi_grid
-        if xi > grid[-1]:
-            top = grid[-1]
-            return 1.0 + (self.core_values[-1] - 1.0) * (top / xi) ** 2
-        return float(np.interp(xi, grid, self.core_values))
+    def value_at(self, xi):
+        """Core value at xi > 0, a float for a scalar and an array for an
+        array of frequencies."""
+        x = np.asarray(xi, dtype=float)
+        if not np.all(x > 0.0):                     # NaN fails too
+            raise DomainError(f"xi must be positive, got {np.min(x)}")
+        top = self.xi_grid[-1]
+        values = np.where(x > top,
+                          1.0 + (self.core_values[-1] - 1.0) * (top / x) ** 2,
+                          np.interp(x, self.xi_grid, self.core_values))
+        return float(values) if values.ndim == 0 else values
 
 
 def build_core_table(ib: InterbandImEps, xi_grid: Sequence[float],

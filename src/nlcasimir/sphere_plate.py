@@ -10,6 +10,7 @@ experiment being compared against.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
@@ -31,8 +32,8 @@ class SpherePlateConfig:
     delta_plate: float = 0.0   # um, rms roughness
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:      # NaN fails too
+            raise DomainError(f"radius must be finite and positive, got {self.radius}")
         if self.delta_sphere < 0.0 or self.delta_plate < 0.0:
             raise DomainError("rms roughness must be >= 0")
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from nlcasimir import (NonlocalAlt, PressureQuery, SpherePlateConfig,
-                       WithCore, build_core_table, casimir_pressure,
+from nlcasimir import (RELATIONS, Drude, NonlocalAlt, PressureQuery,
+                       SpherePlateConfig, WithCore, build_core_table,
+                       casimir_pressure,
                        eval_imag_axis, force_gradient, gold_default,
                        interband_im_eps, parse_optical_table)
 from nlcasimir.cli import run
@@ -33,6 +34,13 @@ def parse_csv(text):
     header = lines[1].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
     return lines[0], header, rows
+
+
+def core_table(params):
+    """The interband core the CLI builds from OPTICAL_TEXT."""
+    return build_core_table(
+        interband_im_eps(parse_optical_table(OPTICAL_TEXT), params.drude),
+        np.geomspace(1e-3, 1e2, 121))
 
 
 def test_epsilon_imag_matches_the_library(capsys):
@@ -87,10 +95,7 @@ def test_epsilon_with_interband_core(capsys, tmp_path):
     meta, _, rows = parse_csv(out)
     assert "optical_data=" in meta
     params = gold_default().params
-    core = build_core_table(
-        interband_im_eps(parse_optical_table(OPTICAL_TEXT), params.drude),
-        np.geomspace(1e-3, 1e2, 121))
-    model = WithCore(NonlocalAlt(params), core)
+    model = WithCore(NonlocalAlt(params), core_table(params))
     for xi, row in zip(np.linspace(0.5, 2.0, 2), rows):
         pair = eval_imag_axis(model, float(xi), 0.0)
         assert math.isclose(row[1], pair.eps_l, rel_tol=1e-8)
@@ -137,6 +142,42 @@ def test_pressure_single_model(capsys):
     assert math.isclose(rows[0][1], want, rel_tol=1e-8)
 
 
+def test_pressure_with_optical_data(capsys, tmp_path, optical_text):
+    path = tmp_path / "nk.dat"
+    path.write_text(optical_text)
+    code, out, err = run_cli(capsys, [
+        "pressure", "--models", "drude,nonlocal", "--a-min", "1.0",
+        "--a-max", "1.0", "--points", "1", "--optical-data", str(path)])
+    assert code == 0 and err == ""
+    _, header, rows = parse_csv(out)
+    assert header == ["a_um", "P_drude_Pa", "P_nonlocal_Pa", "ratio_nl_drude"]
+    params = gold_default().params
+    core = core_table(params)
+    for col, inner in ((1, Drude(params.drude)), (2, NonlocalAlt(params))):
+        want = casimir_pressure(
+            PressureQuery(1.0, 300.0, WithCore(inner, core))).pressure
+        assert rows[0][col] == float(format(want, ".9g"))
+
+
+def test_gradient_with_optical_data(capsys, tmp_path, optical_text):
+    path = tmp_path / "nk.dat"
+    path.write_text(optical_text)
+    code, out, err = run_cli(capsys, [
+        "gradient", "--radius", "50", "--a-min", "1.0", "--a-max", "1.0",
+        "--points", "1", "--optical-data", str(path)])
+    assert code == 0 and err == ""
+    _, header, rows = parse_csv(out)
+    assert header == ["a_um", "Fprime_theor"]
+    params = gold_default().params
+    model = WithCore(NonlocalAlt(params), core_table(params))
+
+    def pressure(a):
+        return casimir_pressure(PressureQuery(a, 300.0, model)).pressure
+
+    want = force_gradient(1.0, SpherePlateConfig(radius=50.0), pressure)
+    assert rows[0][1] == float(format(want, ".9g"))
+
+
 def test_duplicate_models_are_rejected(capsys):
     code, _, err = run_cli(capsys, [
         "pressure", "--models", "drude,drude", "--a-min", "1", "--a-max", "2"])
@@ -152,7 +193,6 @@ def test_gradient_against_measured_data(capsys, tmp_path):
     assert code == 0
     _, header, rows = parse_csv(out)
     assert header == ["a_um", "Fprime_theor", "Fprime_expt", "diff"]
-    from nlcasimir import Drude
     model = Drude(gold_default().params.drude)
     sp = SpherePlateConfig(radius=50.0)
 
@@ -203,14 +243,25 @@ def test_reflectance_rejects_core_data(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_kk_verify_single_relation(capsys):
+@pytest.fixture(scope="module")
+def all_reports_at_k02(tmp_path_factory):
+    path = tmp_path_factory.mktemp("kk") / "all.json"
+    assert run(["kk-verify", "--kperp", "0.2", "--relations", "all",
+                "--out", str(path)]) == 0
+    return {r["relation"]: r for r in json.loads(path.read_text())}
+
+
+@pytest.mark.parametrize("relation", list(RELATIONS))
+def test_kk_verify_single_relation(capsys, all_reports_at_k02, relation):
     code, out, err = run_cli(capsys, [
-        "kk-verify", "--kperp", "0.2", "--relations", "t-imag-axis"])
+        "kk-verify", "--kperp", "0.2", "--relations", relation])
     assert code == 0 and err == ""
     reports = json.loads(out)
-    assert [r["relation"] for r in reports] == ["t-imag-axis"]
+    assert [r["relation"] for r in reports] == [relation]
     assert reports[0]["max_residual"] < 1e-4
     assert len(reports[0]["residuals"]) == len(reports[0]["grid_eV"]) == 13
+    # one relation run alone reports what it reports inside --relations all
+    assert reports[0] == all_reports_at_k02[relation]
 
 
 def test_kk_verify_flags_the_conducting_limit(capsys):
@@ -280,3 +331,10 @@ def test_usage_errors_exit_2(capsys):
         "pressure", "--a-min", "2", "--a-max", "1"])
     assert code == 2
     assert "error:" in err
+    # non-finite numbers are refused where they enter, not where they crash
+    for argv in (["pressure", "--temp", "nan", "--a-min", "1", "--a-max", "2"],
+                 ["pressure", "--a-min", "nan", "--a-max", "2"],
+                 ["gradient", "--radius", "nan"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "error:" in err

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from nlcasimir import (DomainError, DrudeParams, NonlocalParams, PVSettings,
-                       eval_imag_axis, gold_default, pv_integral,
-                       verify_kk_L, verify_kk_imag_axis_T,
+from nlcasimir import (RELATIONS, DomainError, DrudeParams, NonlocalParams,
+                       PVSettings, eval_imag_axis, gold_default, pv_integral,
+                       verify_kk, verify_kk_L, verify_kk_imag_axis_T,
                        verify_kk_imag_from_real_T, verify_kk_real_from_imag_T)
 
 GOLD = gold_default().params
@@ -77,6 +77,11 @@ def test_dropping_pole_subtractions_breaks_the_relations():
         report = fn(GOLD, 0.2, include_pole_terms=False)
         assert report.residuals[0] > 0.1
         assert report.max_residual > 0.1
+    # the insulator-form relations carry no subtraction to drop
+    for relation in RELATIONS:
+        if relation.startswith("l-"):
+            with pytest.raises(DomainError):
+                verify_kk(relation, GOLD, 0.2, include_pole_terms=False)
 
 
 def test_pole_subtractions_are_inert_without_spatial_dispersion():
@@ -137,6 +142,8 @@ def test_grid_validation():
         verify_kk_imag_axis_T(GOLD, 0.2, xi_grid=[0.0])
     with pytest.raises(DomainError):
         verify_kk_L(GOLD, 0.2, omega_grid=[-1.0])
+    with pytest.raises(DomainError):
+        verify_kk("eq-31", GOLD, 0.2)
 
 
 def test_imag_axis_relation_far_above_the_resonances():

@@ -103,6 +103,11 @@ def test_query_validation():
         PressureQuery(0.0, 300.0, GOLD)
     with pytest.raises(DomainError):
         PressureQuery(1.0, 0.0, GOLD)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            PressureQuery(bad, 300.0, GOLD)
+        with pytest.raises(DomainError):
+            PressureQuery(1.0, bad, GOLD)
     with pytest.raises(DomainError):
         PressureQuery(1.0, 300.0, GOLD, quad_tol=0.0)
     with pytest.raises(DomainError):

@@ -118,6 +118,13 @@ def test_core_table_holds_below_and_decays_above():
     assert core.value_at(0.25) == 3.0
     # excess over unity falls off as (top/xi)^2 past the grid
     assert math.isclose(core.value_at(4.0), 1.0 + 4.0 * 0.25, rel_tol=1e-15)
+    # a (terms x 1) column, as the vectorized pressure path passes it,
+    # with points below, inside and above the grid
+    got = core.value_at(np.array([[0.25], [1.5], [4.0]]))
+    assert got.shape == (3, 1)
+    assert got[0, 0] == 3.0 and got[1, 0] == 4.0
+    assert math.isclose(got[2, 0], 1.0 + 4.0 * 0.25, rel_tol=1e-15)
+    assert isinstance(core.value_at(1.5), float)
 
 
 def test_core_table_validation():
@@ -130,6 +137,10 @@ def test_core_table_validation():
     core = CoreTable(np.array([1.0, 2.0]), np.array([3.0, 5.0]))
     with pytest.raises(DomainError):
         core.value_at(-1.0)
+    with pytest.raises(DomainError):
+        core.value_at(math.nan)
+    with pytest.raises(DomainError):
+        core.value_at(np.array([[1.5], [0.0]]))
 
 
 def test_build_core_table_records_provenance(optical_text):

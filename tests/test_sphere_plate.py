@@ -71,6 +71,9 @@ def test_gradient_domain_validation():
         force_gradient(0.0, cfg, lambda a: -1.0)
     with pytest.raises(DomainError):
         SpherePlateConfig(radius=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            SpherePlateConfig(radius=bad)
     with pytest.raises(DomainError):
         SpherePlateConfig(radius=50.0, delta_sphere=-0.1)
 
