@@ -8,9 +8,8 @@ import pytest
 
 from nlcasimir import (RELATIONS, Drude, NonlocalAlt, PressureQuery,
                        SpherePlateConfig, WithCore, build_core_table,
-                       casimir_pressure,
-                       eval_imag_axis, force_gradient, gold_default,
-                       interband_im_eps, parse_optical_table)
+                       casimir_pressure, eval_imag_axis, force_gradient,
+                       gold_default, interband_im_eps, parse_optical_table)
 from nlcasimir.cli import run
 
 from conftest import OPTICAL_TEXT
