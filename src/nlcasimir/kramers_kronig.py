@@ -243,8 +243,8 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
     transverse = part == _EPS_T
     if transverse and p.gamma <= 0.0:
         raise DomainError("transverse dispersion relations need gamma > 0")
-    if k_hat < 0.0:
-        raise DomainError(f"k_hat must be >= 0, got {k_hat}")
+    if not 0.0 <= k_hat < math.inf:                 # NaN fails too
+        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
     if transverse:
         return ((p.gamma,), p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma,
                 FOUR_PI * static_transverse_conductivity(params, k_hat))

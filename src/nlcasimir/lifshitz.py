@@ -6,18 +6,22 @@ integral of
 
     y^2 * sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y})
 
-from y_l = 2*a*xi_l/(hbar c) upward, so the exponential decay is explicit
-and the same quadrature grid works for every model.  Each term is cut off
-SPAN = 50 past its lower limit: the integrand there is below 1e-16 of its
-peak (y^2 e^{-y} peaks by y = 2 and e^{-50} ~ 2e-22), so the tail is far
-beyond double precision.
+from y_l = 2*a*xi_l/(hbar c) to y_l + SPAN; e^{-50} ~ 2e-22 puts the cut
+far beyond double precision.  Every term, l = 0 included, is integrated
+in u = sqrt(y - y_l), Jacobian 2u, where k_hat = c1 u sqrt(2 y_l + u^2),
+c1 = hbar c/(2a), is free of cancellation and the nonlocal eps_T (linear
+in k_hat) has no square-root branch; the static term takes
+zero_freq_limit at k_hat = c1 u^2.  Seven u-panels carry a G7/K15
+Gauss-Kronrod rule: K15 is the value, |K15 - G7| the error estimate.
 
-Per-term quadrature is adaptive with two nested Gauss-Legendre orders on
-a fixed starting panel layout; all panel nodes are evaluated in one
-vectorized pass through the reflection chain, which is what keeps
-low-temperature runs with ~10^4 Matsubara terms fast.  Terms accumulate
-in ascending l with compensated summation, so results are bit-identical
-run to run.
+A block of terms goes through the reflection chain in one 2-d pass.  In a
+row that misses quad_tol, every panel whose error exceeds its width's
+share of the tolerance is bisected, all rows at once in another 2-d
+pass, until the row meets it or holds _MAX_PANELS panels.  Rows with
+|I| + err below term_tol times the sum so far are not refined: the stop
+test ends the sum there.  A row the sum consumes while still missing is
+refined alone, or raises ConvergenceError.  Terms accumulate in ascending
+l with compensated summation, so results are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -36,23 +40,31 @@ from .reflection import reflection_pair, zero_freq_limit
 APERY = 1.2020569031595943      # zeta(3)
 SPAN = 50.0                     # width of each term's y-integration window
 
-_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(7)
-# starting panel edges, offsets from y_l; finer near the integrand peak
-_PANEL_EDGES = (0.0, 2.0, 5.0, 10.0, 18.0, 30.0, SPAN)
+# Kronrod nodes x >= 0 on [-1, 1], their K15 weights and the G7 weights,
+# which are 0 on the nodes G7 lacks
+_KRONROD_X = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+              0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+              0.207784955007898468, 0.0)
+_KRONROD_W = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+              0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+              0.204432940075298892, 0.209482141084727828)
+_GAUSS_W = (0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+            0.0, 0.381830050505118945, 0.0, 0.417959183673469388)
+
+
+def _gauss_kronrod():
+    """The 15 nodes and a (15, 2) matrix of K15 and G7 weights."""
+    x = np.array(_KRONROD_X)
+    columns = [np.concatenate([w[:-1], w[::-1]])
+               for w in (np.array(_KRONROD_W), np.array(_GAUSS_W))]
+    return np.concatenate([-x[:-1], x[::-1]]), np.column_stack(columns)
+
+
+_NODES, _WEIGHTS = _gauss_kronrod()
+# panel edges in u; finer near the integrand peak
+_U_EDGES = np.sqrt((0.0, 0.5, 2.0, 5.0, 10.0, 18.0, 30.0, SPAN))
 _BLOCK = 64                     # Matsubara terms evaluated per vectorized pass
-
-
-def _panel_offsets():
-    edges = np.asarray(_PANEL_EDGES)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    off_hi = (mid[:, None] + half[:, None] * _NODES_HI).ravel()
-    off_lo = (mid[:, None] + half[:, None] * _NODES_LO).ravel()
-    return off_hi, off_lo, half
-
-
-_OFF_HI, _OFF_LO, _PANEL_HALF = _panel_offsets()
+_MAX_PANELS = 128               # refinement stops once a term has this many
 
 
 @dataclass(frozen=True)
@@ -82,58 +94,6 @@ class PressureResult:
     per_term: Optional[Sequence[float]] = None  # Pa contributions, l ascending
 
 
-def _eval_panels(f, panels):
-    """Integrate f over each (a, b) panel with nested 15/7-point rules.
-
-    Returns (I_hi, |I_hi - I_lo|) per panel.  Both node sets are evaluated
-    in a single call to f.
-    """
-    a = panels[:, 0:1]
-    h = 0.5 * (panels[:, 1:2] - a)
-    mid = a + h
-    pts_hi = mid + h * _NODES_HI
-    pts_lo = mid + h * _NODES_LO
-    n_hi = pts_hi.size
-    vals = f(np.concatenate([pts_hi.ravel(), pts_lo.ravel()]))
-    v_hi = vals[:n_hi].reshape(pts_hi.shape)
-    v_lo = vals[n_hi:].reshape(pts_lo.shape)
-    i_hi = h[:, 0] * (v_hi @ _WEIGHTS_HI)
-    i_lo = h[:, 0] * (v_lo @ _WEIGHTS_LO)
-    return i_hi, np.abs(i_hi - i_lo)
-
-
-def _adaptive_integral(f, lo, rel_tol, max_refinements=60):
-    """Integrate f over [lo, lo + SPAN] to a relative tolerance.
-
-    Starts from the fixed panel layout and bisects the worst panel until
-    the summed two-order error estimate is below rel_tol * |integral|.
-    Deterministic: ties go to the leftmost panel.
-    """
-    edges = lo + np.asarray(_PANEL_EDGES)
-    panels = np.column_stack([edges[:-1], edges[1:]])
-    values, errors = _eval_panels(f, panels)
-    panels = list(map(tuple, panels))
-    values = list(values)
-    errors = list(errors)
-    for _ in range(max_refinements):
-        total = math.fsum(values)
-        err = math.fsum(errors)
-        if err <= max(rel_tol * abs(total), 5e-324):
-            return total, err
-        worst = int(np.argmax(errors))
-        a, b = panels[worst]
-        mid = 0.5 * (a + b)
-        halves = np.array([[a, mid], [mid, b]])
-        new_vals, new_errs = _eval_panels(f, halves)
-        panels[worst:worst + 1] = [(a, mid), (mid, b)]
-        values[worst:worst + 1] = list(new_vals)
-        errors[worst:worst + 1] = list(new_errs)
-    total = math.fsum(values)
-    raise ConvergenceError(
-        f"wavevector quadrature stalled above tolerance {rel_tol}",
-        last_estimate=total)
-
-
 def _summand(y, r):
     """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y."""
     ey = np.exp(-y)
@@ -144,36 +104,79 @@ def _summand(y, r):
     return y * y * total
 
 
-def _block_integrals(model, xi, y_lo, a_um):
-    """Initial-layout quadrature for a block of Matsubara terms at once.
+def _panels(model, c1, xi, y_lo, rows, lo, hi):
+    """K15 values and |K15 - G7| errors on the u-panels [lo, hi] of rows.
 
-    xi and y_lo are 1-d with one entry per term.  Every node of every
-    panel of every term goes through the reflection chain in one shot;
-    rows whose two-order error estimate misses the tolerance are redone
-    by the adaptive scalar path.  Returns (integrals, error estimates).
+    One 2-d pass, one row per panel.  xi None means the static term.
     """
-    c1 = CONSTANTS.hbar_c / (2.0 * a_um)
-    col = y_lo[:, None]
-    y = np.concatenate([col + _OFF_HI, col + _OFF_LO], axis=1)
-    k_hat = np.sqrt(np.maximum((c1 * y) ** 2 - (xi * xi)[:, None], 0.0))
-    vals = _summand(y, reflection_pair(model, xi[:, None], k_hat))
-    n_hi = _OFF_HI.size
-    shape = (len(y_lo), len(_PANEL_HALF))
-    i_hi = vals[:, :n_hi].reshape(*shape, -1) @ _WEIGHTS_HI * _PANEL_HALF
-    i_lo = vals[:, n_hi:].reshape(*shape, -1) @ _WEIGHTS_LO * _PANEL_HALF
-    return i_hi.sum(axis=1), np.abs(i_hi - i_lo).sum(axis=1)
+    half = 0.5 * (hi - lo)
+    u = (lo + half)[:, None] + half[:, None] * _NODES
+    y0 = y_lo[rows][:, None]
+    if xi is None:
+        pair = zero_freq_limit(model, c1 * u * u)
+    else:
+        pair = reflection_pair(model, xi[rows][:, None],
+                               c1 * u * np.sqrt(2.0 * y0 + u * u))
+    kg = (2.0 * u * _summand(y0 + u * u, pair)) @ _WEIGHTS * half[:, None]
+    return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
 
 
-def _term_integrand(model, xi, a_um, zero_mode):
-    c1 = CONSTANTS.hbar_c / (2.0 * a_um)
+def _integrate(model, c1, xi, y_lo, quad_tol, floor):
+    """Wavevector integrals of a block of Matsubara terms.
 
-    def f(y):
-        if zero_mode:
-            return _summand(y, zero_freq_limit(model, c1 * y))
-        k_hat = np.sqrt(np.maximum((c1 * y) ** 2 - xi * xi, 0.0))
-        return _summand(y, reflection_pair(model, xi, k_hat))
+    xi and y_lo hold one entry per term (xi None: the static term at
+    y_lo = 0).  Rows that miss quad_tol and have |I| + err >= floor are
+    refined by bisecting their missing panels.  Returns (integrals, error
+    estimates, converged flags).
+    """
+    n = len(y_lo)
+    new = (np.repeat(np.arange(n), len(_U_EDGES) - 1),
+           np.tile(_U_EDGES[:-1], n), np.tile(_U_EDGES[1:], n))
+    kept = (np.empty(0, int),) + (np.empty(0),) * 4
+    while True:
+        rows, lo, hi, val, err = (
+            np.concatenate(pair) for pair in
+            zip(kept, new + _panels(model, c1, xi, y_lo, *new)))
+        total = np.bincount(rows, val, n)
+        error = np.bincount(rows, err, n)
+        tol = np.maximum(quad_tol * np.abs(total), 5e-324)
+        missing = error > tol
+        refine = (missing & (np.abs(total) + error >= floor)
+                  & (np.bincount(rows, minlength=n) < _MAX_PANELS))
+        if not refine.any():
+            return total, error, ~missing
+        # a panel misses when its error exceeds its width's share of tol
+        split = refine[rows] & (err * _U_EDGES[-1] > tol[rows] * (hi - lo))
+        mid = 0.5 * (lo[split] + hi[split])
+        new = (np.repeat(rows[split], 2),
+               np.column_stack([lo[split], mid]).ravel(),
+               np.column_stack([mid, hi[split]]).ravel())
+        kept = tuple(x[~split] for x in (rows, lo, hi, val, err))
 
-    return f
+
+def _refined(model, c1, xi, y_lo, quad_tol):
+    """One term to quad_tol; ConvergenceError with its estimate if it stalls."""
+    (value,), (err,), (ok,) = _integrate(model, c1, xi, y_lo, quad_tol, 0.0)
+    if not ok:
+        raise ConvergenceError(
+            f"wavevector quadrature stalled above tolerance {quad_tol}",
+            last_estimate=float(value))
+    return float(value), float(err)
+
+
+def _matsubara_tail(term, y_last, dy):
+    """|term| sum_{j>=1} rho^j P(y_last + j dy) / P(y_last), rho = e^{-dy}.
+
+    Terms fall off like the Gamma(3, y_l) envelope e^{-y_l} P(y_l), P(y) =
+    y^2 + 2y + 2; the sum is closed-form from sum_j j^k rho^j, k = 0, 1, 2.
+    """
+    rho = math.exp(-dy)
+    if rho >= 1.0:
+        return 0.0
+    q = 1.0 - rho
+    p = y_last * y_last + 2.0 * y_last + 2.0
+    return abs(term) * rho / q * (1.0 + (2.0 * y_last + 2.0) * dy / (q * p)
+                                  + dy * dy * (1.0 + rho) / (q * q * p))
 
 
 def casimir_pressure(query: PressureQuery) -> PressureResult:
@@ -182,18 +185,20 @@ def casimir_pressure(query: PressureQuery) -> PressureResult:
     The l = 0 term carries weight 1/2 and uses the analytic static
     reflection limits.  Summation stops once a term falls below term_tol
     of the accumulated total; the truncated Matsubara tail is bounded by
-    a geometric estimate and folded into quad_error_estimate.
+    _matsubara_tail and folded into quad_error_estimate.
     """
     a = query.separation
     temp = query.temperature
+    model = query.model
+    quad_tol = query.quad_tol
     xi_1 = matsubara_xi(1, temp)
     dy = 2.0 * a * xi_1 / CONSTANTS.hbar_c
     l_cap = int(80.0 / dy) + 1000
+    c1 = CONSTANTS.hbar_c / (2.0 * a)
 
     prefactor = -CONSTANTS.boltzmann * temp / (8.0 * math.pi * a**3)
 
-    f0 = _term_integrand(query.model, 0.0, a, zero_mode=True)
-    integral0, err0 = _adaptive_integral(f0, 0.0, query.quad_tol)
+    integral0, err0 = _refined(model, c1, None, np.zeros(1), quad_tol)
     term = 0.5 * integral0
     acc = term
     comp = 0.0          # Kahan compensation
@@ -202,44 +207,38 @@ def casimir_pressure(query: PressureQuery) -> PressureResult:
     scale = 2.0 * a / CONSTANTS.hbar_c
 
     l = 0
-    stopped = False
-    block_start = 1
-    while not stopped:
-        ls = np.arange(block_start, block_start + _BLOCK)
-        xi = xi_1 * ls
-        y_lo = scale * xi
-        integrals, errors = _block_integrals(query.model, xi, y_lo, a)
-        for j in range(_BLOCK):
-            l = int(ls[j])
-            term = float(integrals[j])
-            err = float(errors[j])
-            if err > max(query.quad_tol * abs(term), 5e-324):
-                f = _term_integrand(query.model, float(xi[j]), a, zero_mode=False)
-                term, err = _adaptive_integral(f, float(y_lo[j]), query.quad_tol)
-            quad_err += err
-            raw_terms.append(term)
+    while True:
+        l += 1
+        j = (l - 1) % _BLOCK
+        if j == 0:
+            xi = xi_1 * np.arange(l, l + _BLOCK)
+            y_lo = scale * xi
+            integrals, errors, converged = _integrate(
+                model, c1, xi, y_lo, quad_tol, query.term_tol * abs(acc))
+        term, err = float(integrals[j]), float(errors[j])
+        if not converged[j]:
+            term, err = _refined(model, c1, xi[j:j + 1], y_lo[j:j + 1], quad_tol)
+        quad_err += err
+        raw_terms.append(term)
 
-            # compensated accumulation, fixed ascending order
-            y = term - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
+        # compensated accumulation, fixed ascending order
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
 
-            if acc == 0.0 and term == 0.0:
-                # no interaction at all; report the single meaningful term
-                return PressureResult(0.0, 1, 0.0, (0.0,))
-            if abs(term) < query.term_tol * abs(acc):
-                stopped = True
-                break
-            if l >= l_cap:
-                raise ConvergenceError(
-                    f"Matsubara sum still above term_tol at l = {l} "
-                    f"(a = {a} um, T = {temp} K)",
-                    last_estimate=pressure_to_pascal(prefactor * acc))
-        block_start += _BLOCK
+        if acc == 0.0 and term == 0.0:
+            # no interaction at all; report the single meaningful term
+            return PressureResult(0.0, 1, 0.0, (0.0,))
+        if abs(term) < query.term_tol * abs(acc):
+            break
+        if l >= l_cap:
+            raise ConvergenceError(
+                f"Matsubara sum still above term_tol at l = {l} "
+                f"(a = {a} um, T = {temp} K)",
+                last_estimate=pressure_to_pascal(prefactor * acc))
 
-    rho = math.exp(-dy)
-    tail_bound = abs(term) * rho / (1.0 - rho) if rho < 1.0 else 0.0
+    tail_bound = _matsubara_tail(term, float(y_lo[j]), dy)
     unit = abs(pressure_to_pascal(prefactor))
     return PressureResult(
         pressure=pressure_to_pascal(prefactor * acc),

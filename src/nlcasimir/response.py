@@ -13,6 +13,7 @@ used for reflectance work is recovered by k_hat = omega*sin(theta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, TYPE_CHECKING, Union
 
@@ -35,10 +36,11 @@ class DrudeParams:
     gamma: float
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise DomainError(f"omega_p must be positive, got {self.omega_p}")
-        if self.gamma < 0.0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
+        # written so that NaN and inf fail too
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError(f"omega_p must be finite and positive, got {self.omega_p}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,9 @@ class NonlocalParams:
     v_l_ratio: float
 
     def __post_init__(self):
-        if self.v_t_ratio < 0.0 or self.v_l_ratio < 0.0:
-            raise DomainError("velocity ratios must be >= 0")
+        if not (0.0 <= self.v_t_ratio < math.inf
+                and 0.0 <= self.v_l_ratio < math.inf):
+            raise DomainError("velocity ratios must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class Plasma:
     omega_p: float
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise DomainError(f"omega_p must be positive, got {self.omega_p}")
+        if not 0.0 < self.omega_p < math.inf:
+            raise DomainError(f"omega_p must be finite and positive, got {self.omega_p}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +126,12 @@ def eval_imag_axis(model: ResponseModel, xi: float, k_hat: float = 0.0) -> EpsPa
     rejected: the static limit enters the theory only through the analytic
     zero-frequency reflection coefficients.
     """
-    if np.any(np.asarray(xi) <= 0.0):
-        raise DomainError(f"xi must be positive, got {xi}")
-    if np.any(np.asarray(k_hat) < 0.0):
-        raise DomainError(f"k_hat must be >= 0, got {k_hat}")
+    # min and max propagate NaN, so it fails too; empty arrays pass
+    x, k = np.asarray(xi), np.asarray(k_hat)
+    if not (x.min(initial=np.inf) > 0.0 and x.max(initial=0.0) < np.inf):
+        raise DomainError(f"xi must be finite and positive, got {xi}")
+    if not (k.min(initial=0.0) >= 0.0 and k.max(initial=0.0) < np.inf):
+        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
 
     if isinstance(model, Drude):
         p = model.params
@@ -161,11 +166,21 @@ def eval_real_axis(model: ResponseModel, omega: float, k_hat: float = 0.0) -> Ep
     of the nonlocal model turns negative-dissipation for
     k_hat > gamma*c/v_T; the returned pair is then flagged non-passive.
     """
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    if k_hat < 0.0:
-        raise DomainError(f"k_hat must be >= 0, got {k_hat}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"omega must be finite and positive, got {omega}")
+    if not 0.0 <= k_hat < math.inf:
+        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
 
+    # the nonlocal model first: the Kramers-Kronig checks evaluate it about
+    # 478k times per `kk-verify` sweep over eight wavevectors
+    if isinstance(model, NonlocalAlt):
+        nl = model.params
+        p = nl.drude
+        drude_term = p.omega_p**2 / (omega * (omega + 1j * p.gamma))
+        eps_t = 1.0 - drude_term * (1.0 + 1j * nl.v_t_ratio * k_hat / omega)
+        eps_l = 1.0 - drude_term / (1.0 + 1j * nl.v_l_ratio * k_hat / omega)
+        passive = nl.v_t_ratio * k_hat <= p.gamma
+        return EpsPair(eps_l, eps_t, passive)
     if isinstance(model, Drude):
         p = model.params
         e = 1.0 - p.omega_p**2 / (omega * (omega + 1j * p.gamma))
@@ -173,13 +188,6 @@ def eval_real_axis(model: ResponseModel, omega: float, k_hat: float = 0.0) -> Ep
     if isinstance(model, Plasma):
         e = complex(1.0 - model.omega_p**2 / (omega * omega), 0.0)
         return EpsPair(e, e)
-    if isinstance(model, NonlocalAlt):
-        p = model.params.drude
-        drude_term = p.omega_p**2 / (omega * (omega + 1j * p.gamma))
-        eps_t = 1.0 - drude_term * (1.0 + 1j * model.params.v_t_ratio * k_hat / omega)
-        eps_l = 1.0 - drude_term / (1.0 + 1j * model.params.v_l_ratio * k_hat / omega)
-        passive = model.params.v_t_ratio * k_hat <= p.gamma
-        return EpsPair(eps_l, eps_t, passive)
     if isinstance(model, WithCore):
         raise UnsupportedOperationError(
             "interband cores are tabulated on the imaginary axis only")

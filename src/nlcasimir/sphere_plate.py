@@ -34,8 +34,9 @@ class SpherePlateConfig:
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:      # NaN fails too
             raise DomainError(f"radius must be finite and positive, got {self.radius}")
-        if self.delta_sphere < 0.0 or self.delta_plate < 0.0:
-            raise DomainError("rms roughness must be >= 0")
+        if not (0.0 <= self.delta_sphere < math.inf
+                and 0.0 <= self.delta_plate < math.inf):
+            raise DomainError("rms roughness must be finite and >= 0")
 
 
 def force_gradient(a_um: float, config: SpherePlateConfig,

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlcasimir
 from nlcasimir import (RELATIONS, Drude, NonlocalAlt, PressureQuery,
                        SpherePlateConfig, WithCore, build_core_table,
                        casimir_pressure, eval_imag_axis, force_gradient,
@@ -62,6 +67,19 @@ def test_identical_invocations_emit_identical_bytes(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["epsilon", "--points", "1"]
+    _, want, _ = run_cli(capsys, argv)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nlcasimir.__file__).parent.parent),
+         *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-m", "nlcasimir", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout == want.encode()
 
 
 def test_json_payload_shape(capsys):
@@ -333,7 +351,12 @@ def test_usage_errors_exit_2(capsys):
     # non-finite numbers are refused where they enter, not where they crash
     for argv in (["pressure", "--temp", "nan", "--a-min", "1", "--a-max", "2"],
                  ["pressure", "--a-min", "nan", "--a-max", "2"],
-                 ["gradient", "--radius", "nan"]):
+                 ["gradient", "--radius", "nan"],
+                 ["gradient", "--radius", "150", "--delta-s", "nan"],
+                 ["epsilon", "--kperp", "nan"],
+                 ["epsilon", "--gamma", "nan"],
+                 ["epsilon", "--omega-p", "inf"],
+                 ["kk-verify", "--kperp", "nan"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err

@@ -124,6 +124,12 @@ def test_transverse_relations_need_dissipation():
             fn(LOSSLESS, 0.2)
         with pytest.raises(DomainError):
             fn(GOLD, -0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fn(GOLD, bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            verify_kk_L(GOLD, bad)
 
 
 def test_custom_grids_are_respected():

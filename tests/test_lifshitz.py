@@ -1,19 +1,62 @@
-"""Pressure summation: analytic anchors and convergence bookkeeping."""
+"""Pressure summation: analytic anchors, a QUADPACK reference per term
+and convergence bookkeeping."""
 
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
-from nlcasimir import (ConvergenceError, DomainError, Drude, DrudeParams,
-                       PerfectReflector, Plasma, PressureQuery,
-                       casimir_pressure, classical_limit_pressure,
-                       gold_default, ideal_metal_pressure_zero_t)
-from nlcasimir.lifshitz import _adaptive_integral
+from nlcasimir import (CONSTANTS, ConvergenceError, CoreTable, DomainError,
+                       Drude, DrudeParams, NonlocalAlt, NonlocalParams,
+                       PerfectReflector, Plasma, PressureQuery, ReflectionPair,
+                       WithCore, build_core_table, casimir_pressure,
+                       classical_limit_pressure, gold_default,
+                       ideal_metal_pressure_zero_t, interband_im_eps,
+                       matsubara_xi, parse_optical_table, pressure_to_pascal,
+                       reflection_pair, zero_freq_limit)
+
+from conftest import OPTICAL_TEXT
 
 GOLD = gold_default()
 DRUDE = Drude(GOLD.params.drude)
+PLASMA = Plasma(GOLD.params.drude.omega_p)
+CORED = WithCore(GOLD, build_core_table(
+    interband_im_eps(parse_optical_table(OPTICAL_TEXT), GOLD.params.drude),
+    np.geomspace(1e-3, 1e2, 121)))
+UNIT_CORE = CoreTable(np.array([1e-3, 1e2]), np.array([1.0, 1.0]))
+
+
+def quadpack_term(model, a_um, temperature, l):
+    """Matsubara term l of the pressure in Pa, by scipy.integrate.quad.
+
+    Slow reference for one term: the integrand y^2 sum r^2 e^-y / (1 -
+    r^2 e^-y) in u = sqrt(y - y_l), dy = 2u du, from the public
+    amplitudes, over the same window y_l <= y <= y_l + 50.
+    """
+    c1 = CONSTANTS.hbar_c / (2.0 * a_um)
+    xi = matsubara_xi(l, temperature)
+    y_l = 2.0 * a_um * xi / CONSTANTS.hbar_c
+
+    def f(u):
+        y = y_l + u * u
+        if l == 0:
+            pair = zero_freq_limit(model, c1 * u * u)
+        else:
+            pair = reflection_pair(model, xi,
+                                   c1 * u * math.sqrt(2.0 * y_l + u * u))
+        total = 0.0
+        for r in pair:
+            w = r * r * math.exp(-y)
+            total += w / (1.0 - w)
+        return 2.0 * u * y * y * total
+
+    value, _ = quad(f, 0.0, math.sqrt(50.0), epsabs=0.0, epsrel=1e-12,
+                    limit=200)
+    weight = 0.5 if l == 0 else 1.0
+    prefactor = -CONSTANTS.boltzmann * temperature / (8.0 * math.pi * a_um**3)
+    return pressure_to_pascal(prefactor) * weight * value
 
 
 def test_ideal_metal_zero_temperature_oracle():
@@ -114,13 +157,80 @@ def test_query_validation():
         PressureQuery(1.0, 300.0, GOLD, term_tol=1.0)
 
 
-def test_wavevector_quadrature_reports_stalls():
-    # oscillation much faster than any panel keeps the two quadrature
-    # orders from ever agreeing
-    def jagged(y):
-        return np.abs(np.sin(1e6 * y)) + 1.0
+def test_wavevector_quadrature_reports_stalls(monkeypatch):
+    # amplitudes that oscillate much faster than any panel keep the two
+    # quadrature orders from ever agreeing
+    def jagged(model, xi, k_hat):
+        r = 0.5 + 0.4 * np.sin(1e6 * k_hat)
+        return ReflectionPair(r, r)
 
+    monkeypatch.setattr("nlcasimir.lifshitz.reflection_pair", jagged)
     with pytest.raises(ConvergenceError) as err:
-        _adaptive_integral(jagged, 0.0, 1e-12, max_refinements=5)
+        casimir_pressure(PressureQuery(1.0, 300.0, DRUDE))
     assert err.value.last_estimate is not None
     assert math.isfinite(err.value.last_estimate)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 300.0])
+@pytest.mark.parametrize("model", [DRUDE, PLASMA, GOLD, CORED],
+                         ids=["drude", "plasma", "nonlocal", "with-core"])
+def test_each_term_matches_a_quadpack_reference(model, temperature):
+    query = PressureQuery(1.0, temperature, model)
+    result = casimir_pressure(query)
+    last = result.terms_used - 1
+    for l in sorted({0, 1, 2, 10, 100, last}):
+        if l <= last:
+            want = quadpack_term(model, 1.0, temperature, l)
+            assert result.per_term[l] == pytest.approx(want, rel=query.quad_tol)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("model", [DRUDE, GOLD], ids=["drude", "nonlocal"])
+def test_error_estimate_covers_the_cold_matsubara_tail(model, a):
+    # at 1 K the sum stops at a term whose y_l^2 growth the tail bound
+    # has to carry; the tight run sums far past it
+    result = casimir_pressure(PressureQuery(a, 1.0, model))
+    tight = casimir_pressure(PressureQuery(a, 1.0, model, quad_tol=1e-12,
+                                           term_tol=1e-15))
+    assert abs(result.pressure - tight.pressure) <= result.quad_error_estimate
+
+
+@given(a=st.floats(0.5, 7.0), temp=st.floats(1.0, 300.0),
+       inner=st.sampled_from([DRUDE, GOLD]))
+@settings(deadline=None, max_examples=10)
+def test_a_unit_core_gives_the_inner_pressure(a, temp, inner):
+    bare = casimir_pressure(PressureQuery(a, temp, inner))
+    cored = casimir_pressure(PressureQuery(a, temp, WithCore(inner, UNIT_CORE)))
+    assert cored.pressure == bare.pressure
+
+
+def _scaled_velocities(scale):
+    p = GOLD.params
+    return NonlocalAlt(NonlocalParams(p.drude, scale * p.v_t_ratio,
+                                      scale * p.v_l_ratio))
+
+
+@given(a=st.floats(0.5, 7.0), temp=st.floats(1.0, 300.0),
+       scale=st.floats(1e-9, 1e-3), shrink=st.floats(0.01, 0.9))
+@settings(deadline=None, max_examples=10)
+def test_nonlocal_pressure_tends_to_drude_as_velocities_vanish(
+        a, temp, scale, shrink):
+    def pressure(model):
+        return casimir_pressure(PressureQuery(a, temp, model)).pressure
+
+    drude = pressure(DRUDE)
+    assert pressure(_scaled_velocities(0.0)) == drude
+    gap = abs(pressure(_scaled_velocities(scale)) - drude)
+    smaller = abs(pressure(_scaled_velocities(shrink * scale)) - drude)
+    # the gap closes monotonically, at most linearly in the velocities
+    assert smaller <= gap + 1e-14 * abs(drude)
+    assert gap <= 200.0 * scale * abs(drude)
+
+
+@given(a=st.floats(1.0, 7.0), temp=st.floats(1.0, 300.0))
+@settings(deadline=None, max_examples=10)
+def test_model_ordering_over_separations_and_temperatures(a, temp):
+    # from 1 um up only: at 300 K and 0.2 um P_nonlocal exceeds P_plasma
+    p_d, p_nl, p_pl = (casimir_pressure(PressureQuery(a, temp, m)).pressure
+                       for m in (DRUDE, GOLD, PLASMA))
+    assert abs(p_d) <= abs(p_nl) <= abs(p_pl)

@@ -146,6 +146,17 @@ def test_axis_domain_validation():
         eval_real_axis(DRUDE, 0.0)
     with pytest.raises(DomainError):
         eval_real_axis(DRUDE, 1.0, -0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            eval_imag_axis(DRUDE, bad)
+        with pytest.raises(DomainError):
+            eval_imag_axis(DRUDE, 1.0, bad)
+        with pytest.raises(DomainError):
+            eval_imag_axis(DRUDE, np.array([1.0, bad]))
+        with pytest.raises(DomainError):
+            eval_real_axis(DRUDE, bad)
+        with pytest.raises(DomainError):
+            eval_real_axis(DRUDE, 1.0, bad)
 
 
 def test_parameter_validation():
@@ -157,6 +168,17 @@ def test_parameter_validation():
         NonlocalParams(DrudeParams(9.0, 0.035), -0.1, 0.0)
     with pytest.raises(DomainError):
         Plasma(-9.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            DrudeParams(bad, 0.035)
+        with pytest.raises(DomainError):
+            DrudeParams(9.0, bad)
+        with pytest.raises(DomainError):
+            NonlocalParams(DrudeParams(9.0, 0.035), bad, 0.0)
+        with pytest.raises(DomainError):
+            NonlocalParams(DrudeParams(9.0, 0.035), 0.0, bad)
+        with pytest.raises(DomainError):
+            Plasma(bad)
 
 
 def test_static_conductivity_oracles():

@@ -76,6 +76,11 @@ def test_gradient_domain_validation():
             SpherePlateConfig(radius=bad)
     with pytest.raises(DomainError):
         SpherePlateConfig(radius=50.0, delta_sphere=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            SpherePlateConfig(radius=50.0, delta_sphere=bad)
+        with pytest.raises(DomainError):
+            SpherePlateConfig(radius=50.0, delta_plate=bad)
 
 
 def test_parse_experiment_rows():
