@@ -20,7 +20,9 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConvergenceError, DomainError, ParseError
-# perfbench/tracing.py wraps the four verify_kk_* names in this module
+# the CLI calls only verify_kk; the four verify_kk_* names stay imported
+# because perfbench/tracing.py patches them here by name, and a traced run
+# (--trace 1) raises AttributeError without them
 from .kramers_kronig import (RELATIONS, KKReport, verify_kk,  # noqa: F401
                              verify_kk_imag_axis_T, verify_kk_imag_from_real_T,
                              verify_kk_real_from_imag_T, verify_kk_L)

@@ -17,6 +17,16 @@ the transverse pole subtraction.  RELATIONS has one row per relation id
 and verify_kk runs a row on a grid; the four verify_kk_* functions are
 the same checks under their older names, with the formulas written out.
 
+Every relation integrates the same real-axis EpsPair of one model at one
+k_hat, and the adaptive pieces of neighbouring grid points and of the
+six relations sample many of the same x.  verify_kk therefore reads its
+real-axis values, integrand samples and left-hand sides alike, from one
+table per (model, k_hat) that evaluates eval_real_axis once per distinct
+x and keeps it.  The last table used
+stays alive, so consecutive relations at one wavevector share it and a
+new wavevector frees it.  A sample is the same value whichever relation
+asked first, so sharing cannot change a residual.
+
 All integrals are folded onto (0, cutoff) using the Hermitian symmetry
 eps(-x) = conj(eps(x)) that the underlying models obey, so the kernels
 below are the folded ones: (x^2 - omega^2) in place of (x - omega).
@@ -28,6 +38,7 @@ where it is close to 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -56,10 +67,13 @@ class PVSettings:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.window <= 0.0:
-            raise DomainError(f"window must be positive, got {self.window}")
-        if self.cutoff <= self.window:
-            raise DomainError("cutoff must exceed the excision window")
+        # written so that NaN and inf fail too
+        if not 0.0 < self.window < math.inf:
+            raise DomainError(
+                f"window must be finite and positive, got {self.window}")
+        if not self.window < self.cutoff < math.inf:
+            raise DomainError("cutoff must be finite and exceed the "
+                              "excision window")
         if not 0.0 < self.tol <= 1e-2:
             raise DomainError(f"tol must lie in (0, 1e-2], got {self.tol}")
 
@@ -156,8 +170,8 @@ def _resolve_grid(grid, label):
     g = np.atleast_1d(np.asarray(grid, dtype=float))
     if g.size == 0:
         raise DomainError(f"{label} must not be empty")
-    if np.any(g <= 0.0):
-        raise DomainError(f"{label} must be positive")
+    if not (np.all(g > 0.0) and np.all(g < math.inf)):   # NaN fails too
+        raise DomainError(f"{label} must be finite and positive")
     return g
 
 
@@ -168,18 +182,47 @@ def _residual(lhs, rhs):
 _EPS_L, _EPS_T = 0, 1          # EpsPair fields
 
 
+class _Samples(dict):
+    """eval_real_axis(model, x, k_hat) by x, each evaluated on first use.
+
+    Keys compare by value, so a float and an equal np.float64 share one
+    entry, although numpy divides complex numbers with other rounding.
+    QUADPACK passes floats, the window rule and the grids np.float64;
+    over the eight wavevectors of the causality benchmark no x arrives
+    both ways.
+    """
+
+    def __init__(self, model, k_hat):
+        super().__init__()
+        self.model, self.k_hat = model, k_hat
+
+    def __missing__(self, x):
+        # through the module-global name, so a patched eval_real_axis
+        # sees every evaluation
+        pair = self[x] = eval_real_axis(self.model, x, self.k_hat)
+        return pair
+
+
+# one slot: the relations of one wavevector run back to back, and a table
+# holds about 10^4 samples; typed, so a numpy k_hat keeps its own arithmetic
+@functools.lru_cache(maxsize=1, typed=True)
+def _real_axis_samples(model, k_hat):
+    return _Samples(model, k_hat)
+
+
 class Kernel(NamedTuple):
     """What a relation integrates and rebuilds, whatever the component.
 
-    integrand(model, k_hat, part, w, pole_weight) is the function of x
-    sampled for grid point w; it indexes the EpsPair inline because one
-    more Python call per sample costs about 5% of a kk-verify run.
+    integrand(samples, part, w, pole_weight) is the function of x sampled
+    for grid point w, where samples is the real-axis table of the model at
+    the relation's k_hat; samples[x][part] is a dict lookup once x has
+    been evaluated, so a repeated sample costs no Python call.
     """
 
     real_axis: bool        # grid of omega, principal value at x = omega
     integrand: Callable
     rebuild: Callable      # (w, integral) -> right-hand side
-    target: Callable       # (model, w, k_hat, part) -> left-hand side
+    target: Callable       # (samples, w, part) -> left-hand side
 
 
 def _one_plus_spectral(w, integral):
@@ -188,25 +231,26 @@ def _one_plus_spectral(w, integral):
 
 _REAL_FROM_IMAG = Kernel(
     True,
-    lambda model, k_hat, part, om, pole_weight: lambda x: (
-        x * eval_real_axis(model, x, k_hat)[part].imag / (x * x - om * om)),
+    lambda samples, part, om, pole_weight: lambda x: (
+        x * samples[x][part].imag / (x * x - om * om)),
     _one_plus_spectral,
-    lambda model, om, k_hat, part: eval_real_axis(model, om, k_hat)[part].real)
+    lambda samples, om, part: samples[om][part].real)
 # pole_weight / x^2 cancels the second-order pole of Re eps_T at x = 0,
 # without which the integral does not exist; eps_L has weight 0
 _IMAG_FROM_REAL = Kernel(
     True,
-    lambda model, k_hat, part, om, pole_weight: lambda x: (
-        (eval_real_axis(model, x, k_hat)[part].real + pole_weight / (x * x))
+    lambda samples, part, om, pole_weight: lambda x: (
+        (samples[x][part].real + pole_weight / (x * x))
         / (x * x - om * om)),
     lambda om, integral: -(2.0 * om / math.pi) * integral,
-    lambda model, om, k_hat, part: eval_real_axis(model, om, k_hat)[part].imag)
+    lambda samples, om, part: samples[om][part].imag)
 _IMAG_AXIS = Kernel(
     False,
-    lambda model, k_hat, part, xi, pole_weight: lambda x: (
-        x * eval_real_axis(model, x, k_hat)[part].imag / (x * x + xi * xi)),
+    lambda samples, part, xi, pole_weight: lambda x: (
+        x * samples[x][part].imag / (x * x + xi * xi)),
     _one_plus_spectral,
-    lambda model, xi, k_hat, part: eval_imag_axis(model, xi, k_hat)[part])
+    lambda samples, xi, part: eval_imag_axis(samples.model, xi,
+                                             samples.k_hat)[part])
 
 
 class Relation(NamedTuple):
@@ -278,17 +322,17 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
     kernel = rel.kernel
     g = _resolve_grid(grid, "omega_grid" if kernel.real_axis else "xi_grid")
     s = settings if settings is not None else _VERIFY_SETTINGS
-    model = NonlocalAlt(params)
+    samples = _real_axis_samples(NonlocalAlt(params), k_hat)
 
     residuals = []
     for w in g:
-        f = kernel.integrand(model, k_hat, rel.part, w, pole_weight)
+        f = kernel.integrand(samples, rel.part, w, pole_weight)
         integral = pv_integral(f, pole=w if kernel.real_axis else None,
                                settings=s, lo=0.0, points=hints)
         rhs = kernel.rebuild(w, integral)
         if include_pole_terms and rel.subtraction is not None:
             rhs += rel.subtraction(w, pole_weight, sigma_term)
-        lhs = kernel.target(model, w, k_hat, rel.part)
+        lhs = kernel.target(samples, w, rel.part)
         residuals.append(_residual(lhs, rhs))
     conducting = params.drude.gamma == 0.0 or params.v_l_ratio * k_hat == 0.0
     return KKReport(relation, float(k_hat), tuple(float(x) for x in g),

@@ -244,7 +244,8 @@ def casimir_pressure(query: PressureQuery) -> PressureResult:
         pressure=pressure_to_pascal(prefactor * acc),
         terms_used=l + 1,
         quad_error_estimate=unit * (quad_err + tail_bound),
-        per_term=tuple(pressure_to_pascal(prefactor) * t for t in raw_terms))
+        per_term=tuple(
+            (pressure_to_pascal(prefactor) * np.array(raw_terms)).tolist()))
 
 
 def classical_limit_pressure(a_um, temperature, te_zero_weight=0.0):
@@ -254,8 +255,10 @@ def classical_limit_pressure(a_um, temperature, te_zero_weight=0.0):
     zero-frequency amplitude squared (0 for the dissipative local model,
     approaching 1 for the plasma model as k_hat -> 0).
     """
-    if a_um <= 0.0 or temperature <= 0.0:
-        raise DomainError("separation and temperature must be positive")
+    # written so that NaN and inf fail too
+    if not (0.0 < a_um < math.inf and 0.0 < temperature < math.inf):
+        raise DomainError("separation and temperature must be finite and "
+                          "positive")
     if not 0.0 <= te_zero_weight <= 1.0:
         raise DomainError(f"te_zero_weight must lie in [0, 1], got {te_zero_weight}")
     p = -APERY * CONSTANTS.boltzmann * temperature * (1.0 + te_zero_weight) \
@@ -265,6 +268,6 @@ def classical_limit_pressure(a_um, temperature, te_zero_weight=0.0):
 
 def ideal_metal_pressure_zero_t(a_um):
     """Zero-temperature perfect-mirror pressure, -pi^2 hbar c/(240 a^4), in Pa."""
-    if a_um <= 0.0:
-        raise DomainError(f"separation must be positive, got {a_um}")
+    if not 0.0 < a_um < math.inf:
+        raise DomainError(f"separation must be finite and positive, got {a_um}")
     return pressure_to_pascal(-math.pi**2 * CONSTANTS.hbar_c / (240.0 * a_um**4))

@@ -76,8 +76,8 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
 
 def impedance_closed(eps: EpsPair, xi, k_hat):
     """Surface impedances when the permittivities carry no k_z dependence."""
-    if xi <= 0.0:
-        raise DomainError("impedance_closed needs xi > 0")
+    if not 0.0 < xi < math.inf:                     # NaN fails too
+        raise DomainError("impedance_closed needs a finite xi > 0")
     k_t = np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi)
     z_tm = (k_hat / eps.eps_l + (k_t - k_hat) / eps.eps_t) / xi
     z_te = xi / k_t
@@ -119,10 +119,10 @@ def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
 
     from .errors import ConvergenceError
 
-    if xi <= 0.0:
-        raise DomainError("impedance_numeric needs xi > 0")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < xi < math.inf:                     # NaN fails too
+        raise DomainError("impedance_numeric needs a finite xi > 0")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
 
     xi2 = xi * xi
     kp2 = k_hat * k_hat

@@ -69,17 +69,47 @@ def test_identical_invocations_emit_identical_bytes(capsys):
     assert first == second
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    argv = ["epsilon", "--points", "1"]
-    _, want, _ = run_cli(capsys, argv)
+def run_python(args, cwd=None):
+    """Run a fresh interpreter that imports this nlcasimir."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(nlcasimir.__file__).parent.parent),
          *filter(None, [env.get("PYTHONPATH")])])
-    done = subprocess.run([sys.executable, "-m", "nlcasimir", *argv],
-                          capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["epsilon", "--points", "1"]
+    _, want, _ = run_cli(capsys, argv)
+    done = run_python(["-m", "nlcasimir", *argv])
     assert done.returncode == 0
     assert done.stdout == want.encode()
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_study_scripts_run(tmp_path):
+    done = run_python([str(SCRIPTS / "kk_report.py"), "--kperp", "0.2",
+                       "--out-dir", str(tmp_path)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    reports = json.loads((tmp_path / "kk_k0p2.json").read_text())
+    assert [r["relation"] for r in reports] == list(RELATIONS)
+
+    sweep = tmp_path / "sweep.csv"
+    done = run_python([str(SCRIPTS / "pressure_sweep.py"), "--points", "3",
+                       "--out", str(sweep)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert len(parse_csv(sweep.read_text())[2]) == 3
+
+    done = run_python([str(SCRIPTS / "reflectance_study.py"), "--points", "3",
+                       "--out-dir", str(tmp_path)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    for angle in ("45deg", "60deg"):
+        _, _, rows = parse_csv(
+            (tmp_path / f"reflectance_{angle}.csv").read_text())
+        assert len(rows) == 3
 
 
 def test_json_payload_shape(capsys):

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+import nlcasimir.kramers_kronig as kk
 from nlcasimir import (RELATIONS, DomainError, DrudeParams, NonlocalParams,
-                       PVSettings, eval_imag_axis, gold_default, pv_integral,
+                       PVSettings, eval_imag_axis, eval_real_axis,
+                       gold_default, pv_integral,
                        verify_kk, verify_kk_L, verify_kk_imag_axis_T,
                        verify_kk_imag_from_real_T, verify_kk_real_from_imag_T)
 
@@ -41,6 +43,11 @@ def test_pv_settings_validation():
         PVSettings(window=1.0, cutoff=0.5)
     with pytest.raises(DomainError):
         PVSettings(tol=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            PVSettings(window=bad)
+        with pytest.raises(DomainError):
+            PVSettings(cutoff=bad)
 
 
 def test_pv_domain_errors():
@@ -150,6 +157,53 @@ def test_grid_validation():
         verify_kk_L(GOLD, 0.2, omega_grid=[-1.0])
     with pytest.raises(DomainError):
         verify_kk("eq-31", GOLD, 0.2)
+    for bad in (math.nan, math.inf):
+        for relation in RELATIONS:
+            with pytest.raises(DomainError, match="grid must be finite"):
+                verify_kk(relation, GOLD, 0.2, grid=[0.5, bad])
+
+
+def test_relations_at_one_wavevector_evaluate_each_sample_once(monkeypatch):
+    seen = []
+
+    def counted(model, x, k_hat=0.0):
+        seen.append(x)
+        return eval_real_axis(model, x, k_hat)
+
+    kk._real_axis_samples.cache_clear()
+    monkeypatch.setattr(kk, "eval_real_axis", counted)
+    for relation in RELATIONS:
+        verify_kk(relation, GOLD, 0.2)
+    assert len(seen) > 1000
+    assert len(set(seen)) == len(seen)
+
+
+def test_sharing_samples_changes_no_residual_bit(monkeypatch):
+    def residuals(order, fresh):
+        kk._real_axis_samples.cache_clear()
+        reports = {}
+        for relation in order:
+            if fresh:
+                kk._real_axis_samples.cache_clear()
+            reports[relation] = verify_kk(relation, GOLD, 0.2).residuals
+        return reports
+
+    in_order = residuals(list(RELATIONS), fresh=False)
+    assert residuals(list(RELATIONS)[::-1], fresh=False) == in_order
+    assert residuals(list(RELATIONS), fresh=True) == in_order
+
+    class Unshared:
+        """Every lookup evaluated afresh, as with no table at all."""
+
+        def __init__(self, model, k_hat):
+            self.model, self.k_hat = model, k_hat
+
+        def __getitem__(self, x):
+            return eval_real_axis(self.model, x, self.k_hat)
+
+    monkeypatch.setattr(kk, "_real_axis_samples", Unshared)
+    assert {relation: verify_kk(relation, GOLD, 0.2).residuals
+            for relation in RELATIONS} == in_order
 
 
 def test_imag_axis_relation_far_above_the_resonances():

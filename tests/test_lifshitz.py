@@ -62,8 +62,9 @@ def quadpack_term(model, a_um, temperature, l):
 def test_ideal_metal_zero_temperature_oracle():
     assert math.isclose(ideal_metal_pressure_zero_t(1.0),
                         -0.0013001260013310095, rel_tol=1e-15)
-    with pytest.raises(DomainError):
-        ideal_metal_pressure_zero_t(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ideal_metal_pressure_zero_t(bad)
 
 
 def test_perfect_mirrors_cold_limit_reproduces_the_quartic_law():
@@ -90,6 +91,11 @@ def test_classical_limit_validation():
         classical_limit_pressure(50.0, -1.0)
     with pytest.raises(DomainError):
         classical_limit_pressure(50.0, 300.0, te_zero_weight=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            classical_limit_pressure(bad, 300.0)
+        with pytest.raises(DomainError):
+            classical_limit_pressure(50.0, bad)
 
 
 def test_dissipative_metal_reaches_the_classical_limit():

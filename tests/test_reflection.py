@@ -156,6 +156,13 @@ def test_numeric_impedance_domain_validation():
         impedance_numeric(eps_of_k, 0.0, 1.0)
     with pytest.raises(DomainError):
         impedance_numeric(eps_of_k, 1.0, 1.0, tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            impedance_numeric(eps_of_k, bad, 1.0)
+        with pytest.raises(DomainError):
+            impedance_numeric(eps_of_k, 1.0, 1.0, tol=bad)
+        with pytest.raises(DomainError):
+            impedance_closed(EpsPair(2.0, 2.0), bad, 1.0)
 
 
 def test_static_limits_of_the_local_models():
