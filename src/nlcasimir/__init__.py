@@ -12,9 +12,7 @@ from .constants import CONSTANTS, MatsubaraPoint, matsubara_xi, pressure_to_pasc
 from .errors import (ConvergenceError, DomainError, ParseError,
                      UnsupportedOperationError)
 from .kramers_kronig import (RELATIONS, KKReport, PVSettings, pv_integral,
-                             verify_kk, verify_kk_imag_axis_T,
-                             verify_kk_imag_from_real_T,
-                             verify_kk_real_from_imag_T, verify_kk_L)
+                             verify_kk)
 from .lifshitz import (PressureQuery, PressureResult, casimir_pressure,
                        classical_limit_pressure, ideal_metal_pressure_zero_t)
 from .optical_data import (CoreTable, InterbandImEps, OpticalTable,
@@ -37,8 +35,6 @@ __all__ = [
     "CONSTANTS", "MatsubaraPoint", "matsubara_xi", "pressure_to_pascal",
     "ConvergenceError", "DomainError", "ParseError", "UnsupportedOperationError",
     "RELATIONS", "KKReport", "PVSettings", "pv_integral", "verify_kk",
-    "verify_kk_imag_axis_T",
-    "verify_kk_imag_from_real_T", "verify_kk_real_from_imag_T", "verify_kk_L",
     "PressureQuery", "PressureResult", "casimir_pressure",
     "classical_limit_pressure", "ideal_metal_pressure_zero_t",
     "CoreTable", "InterbandImEps", "OpticalTable", "build_core_table",

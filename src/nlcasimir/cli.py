@@ -20,12 +20,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConvergenceError, DomainError, ParseError
-# the CLI calls only verify_kk; the four verify_kk_* names stay imported
-# because perfbench/tracing.py patches them here by name, and a traced run
-# (--trace 1) raises AttributeError without them
-from .kramers_kronig import (RELATIONS, KKReport, verify_kk,  # noqa: F401
-                             verify_kk_imag_axis_T, verify_kk_imag_from_real_T,
-                             verify_kk_real_from_imag_T, verify_kk_L)
+from .kramers_kronig import RELATIONS, KKReport, verify_kk
 from .lifshitz import PressureQuery, casimir_pressure
 from .optical_data import build_core_table, interband_im_eps, parse_optical_table
 from .reflection import reflectance_deviation
@@ -35,6 +30,9 @@ from .response import (Drude, DrudeParams, NonlocalAlt, NonlocalParams,
 from .sphere_plate import SpherePlateConfig, force_gradient, parse_experiment_csv
 
 _KK_THRESHOLD = 1e-4
+# patched by name in perfbench/tracing.py until it wraps verify_kk (ROADMAP 1)
+verify_kk_real_from_imag_T = verify_kk_imag_from_real_T = None
+verify_kk_imag_axis_T = verify_kk_L = None
 # imaginary-axis grid used when tabulating an interband core
 _CORE_XI_GRID = np.geomspace(1e-3, 1e2, 121)
 

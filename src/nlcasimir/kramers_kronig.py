@@ -13,19 +13,19 @@ insulator-form relations with no subtraction at all.
 
 The six relations differ only in their component (eps_T or eps_L), their
 kernel (which part of eps is integrated and which value it rebuilds) and
-the transverse pole subtraction.  RELATIONS has one row per relation id
-and verify_kk runs a row on a grid; the four verify_kk_* functions are
-the same checks under their older names, with the formulas written out.
+the transverse pole subtraction.  RELATIONS has one row per relation id,
+commented with the folded formula it checks, and verify_kk runs a row on
+a grid; it is the only entry point to the checks.
 
 Every relation integrates the same real-axis EpsPair of one model at one
 k_hat, and the adaptive pieces of neighbouring grid points and of the
 six relations sample many of the same x.  verify_kk therefore reads its
 real-axis values, integrand samples and left-hand sides alike, from one
 table per (model, k_hat) that evaluates eval_real_axis once per distinct
-x and keeps it.  The last table used
-stays alive, so consecutive relations at one wavevector share it and a
-new wavevector frees it.  A sample is the same value whichever relation
-asked first, so sharing cannot change a residual.
+x and keeps it.  The last table used stays alive, so consecutive
+relations at one wavevector share it and a new wavevector frees it.  A
+sample is the same value whichever relation asked first, so sharing
+cannot change a residual.
 
 All integrals are folded onto (0, cutoff) using the Hermitian symmetry
 eps(-x) = conj(eps(x)) that the underlying models obey, so the kernels
@@ -78,7 +78,7 @@ class PVSettings:
             raise DomainError(f"tol must lie in (0, 1e-2], got {self.tol}")
 
 
-# verify_* needs tighter pieces than the user-facing default: the two
+# verify_kk needs tighter pieces than the user-facing default: the two
 # half-line pieces cancel near the pole, so their absolute errors must be
 # small against the difference, not against themselves
 _VERIFY_SETTINGS = PVSettings(tol=1e-9)
@@ -264,14 +264,26 @@ class Relation(NamedTuple):
     note: str = ""         # reported while eps_L is in its conducting limit
 
 
+# W = (omega_p^2 / gamma) v_T k_hat is the pole weight; the subtraction is
+# the piece include_pole_terms = False drops as a negative control
 RELATIONS = {
+    # Re eps_T(omega) = 1 + (2/pi) PV int_0^inf x Im eps_T(x)
+    # / (x^2 - omega^2) dx - W / omega^2, subtracting the second-order pole
     "t-real-from-imag": Relation(
         _EPS_T, _REAL_FROM_IMAG, lambda om, weight, sigma: -weight / (om * om)),
+    # Im eps_T(omega) = -(2 omega/pi) PV int_0^inf [Re eps_T(x) + W / x^2]
+    # / (x^2 - omega^2) dx + 4 pi sigma_0 / omega, subtracting the
+    # first-order pole; W / x^2 is always kept
     "t-imag-from-real": Relation(
         _EPS_T, _IMAG_FROM_REAL, lambda om, weight, sigma: sigma / om),
+    # eps_T(i xi) = 1 + (2/pi) int_0^inf x Im eps_T(x) / (x^2 + xi^2) dx
+    # + W / xi^2: no principal value, but the second-order pole survives
     "t-imag-axis": Relation(
         _EPS_T, _IMAG_AXIS, lambda xi, weight, sigma: weight / (xi * xi)),
+    # the same three with eps_L, W = 0 and no subtraction (insulator form)
     "l-real-from-imag": Relation(_EPS_L, _REAL_FROM_IMAG),
+    # at gamma = 0 or v_L k_hat = 0 eps_L is a conductor's, whose
+    # static-conductivity pole this form lacks: flagged, not hidden
     "l-imag-from-real": Relation(
         _EPS_L, _IMAG_FROM_REAL,
         note="conducting limit: insulator-form relation omits the "
@@ -304,8 +316,7 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
 
 
 def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
-              *, settings: Optional[PVSettings] = None,
-              include_pole_terms: bool = True) -> KKReport:
+              *, include_pole_terms: bool = True) -> KKReport:
     """Check one relation of RELATIONS pointwise on grid.
 
     grid holds omega, or xi for the imaginary-axis relations (default: 13
@@ -321,14 +332,13 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
         rel.part, params, k_hat, include_pole_terms)
     kernel = rel.kernel
     g = _resolve_grid(grid, "omega_grid" if kernel.real_axis else "xi_grid")
-    s = settings if settings is not None else _VERIFY_SETTINGS
     samples = _real_axis_samples(NonlocalAlt(params), k_hat)
 
     residuals = []
     for w in g:
         f = kernel.integrand(samples, rel.part, w, pole_weight)
         integral = pv_integral(f, pole=w if kernel.real_axis else None,
-                               settings=s, lo=0.0, points=hints)
+                               settings=_VERIFY_SETTINGS, lo=0.0, points=hints)
         rhs = kernel.rebuild(w, integral)
         if include_pole_terms and rel.subtraction is not None:
             rhs += rel.subtraction(w, pole_weight, sigma_term)
@@ -339,72 +349,3 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
                     tuple(residuals), max(residuals),
                     note=rel.note if conducting else "")
 
-
-def verify_kk_real_from_imag_T(params: NonlocalParams, k_hat: float,
-                               omega_grid=None, *,
-                               settings: Optional[PVSettings] = None,
-                               include_pole_terms: bool = True) -> KKReport:
-    """Rebuild Re eps_T from Im eps_T and compare pointwise.
-
-    Folded form: Re eps_T(omega) = 1 + (2/pi) PV int_0^inf x Im eps_T(x)
-    / (x^2 - omega^2) dx - (omega_p^2/omega^2)(v_T k_hat / gamma).  The
-    last piece is the second-order-pole subtraction; include_pole_terms
-    = False drops it and serves as the negative control.
-    """
-    return verify_kk("t-real-from-imag", params, k_hat, omega_grid,
-                     settings=settings, include_pole_terms=include_pole_terms)
-
-
-def verify_kk_imag_from_real_T(params: NonlocalParams, k_hat: float,
-                               omega_grid=None, *,
-                               settings: Optional[PVSettings] = None,
-                               include_pole_terms: bool = True) -> KKReport:
-    """Rebuild Im eps_T from Re eps_T and compare pointwise.
-
-    Folded form: Im eps_T(omega) = -(2 omega/pi) PV int_0^inf [Re eps_T(x)
-    + (omega_p^2/x^2)(v_T k_hat/gamma)] / (x^2 - omega^2) dx
-    + 4 pi sigma_0 / omega.  The in-integrand term regularizes the
-    second-order pole of Re eps_T at x = 0 and is always kept (without it
-    the integral does not exist); the conductivity term is the
-    first-order-pole piece that include_pole_terms = False drops for the
-    negative control.
-    """
-    return verify_kk("t-imag-from-real", params, k_hat, omega_grid,
-                     settings=settings, include_pole_terms=include_pole_terms)
-
-
-def verify_kk_imag_axis_T(params: NonlocalParams, k_hat: float,
-                          xi_grid=None, *,
-                          settings: Optional[PVSettings] = None,
-                          include_pole_terms: bool = True) -> KKReport:
-    """Check eps_T(i xi) against the spectral integral of Im eps_T.
-
-    eps_T(i xi) = 1 + (2/pi) int_0^inf x Im eps_T(x)/(x^2 + xi^2) dx
-    + (omega_p^2/xi^2)(v_T k_hat/gamma); no principal value is needed off
-    the real axis, but the second-order-pole term survives and is again
-    the include_pole_terms piece.
-    """
-    return verify_kk("t-imag-axis", params, k_hat, xi_grid,
-                     settings=settings, include_pole_terms=include_pole_terms)
-
-
-def verify_kk_L(params: NonlocalParams, k_hat: float,
-                omega_grid=None, xi_grid=None, *,
-                settings: Optional[PVSettings] = None
-                ) -> Tuple[KKReport, KKReport, KKReport]:
-    """Run the three insulator-form checks on the longitudinal component.
-
-    Returns reports for real-from-imag, imag-from-real, and the
-    imaginary-axis relation, in that order.  eps_L stays finite at zero
-    frequency only while both damping scales are positive; if gamma or
-    v_L k_hat vanishes the response degenerates to the conducting form
-    whose imag-from-real relation needs a static-conductivity term the
-    insulator form lacks.  That report is computed anyway and flagged in
-    its note, since the failure is structural rather than numerical.
-    """
-    return (verify_kk("l-real-from-imag", params, k_hat, omega_grid,
-                      settings=settings),
-            verify_kk("l-imag-from-real", params, k_hat, omega_grid,
-                      settings=settings),
-            verify_kk("l-imag-axis", params, k_hat, xi_grid,
-                      settings=settings))

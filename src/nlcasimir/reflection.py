@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .response import (Drude, EpsPair, NonlocalAlt, PerfectReflector, Plasma,
-                       ResponseModel, WithCore, eval_imag_axis, eval_real_axis)
+                       ResponseModel, WithCore, eval_imag_axis, eval_real_axis,
+                       finite_and_positive)
 
 
 class ReflectionPair(NamedTuple):
@@ -46,8 +47,8 @@ def q_hat(xi, k_hat):
 
 def fresnel(eps, xi, k_hat):
     """Fresnel amplitudes for a local permittivity at imaginary frequency."""
-    if np.any(np.asarray(xi) <= 0.0):
-        raise DomainError("fresnel needs xi > 0; use zero_freq_limit at xi = 0")
+    if not finite_and_positive(xi):
+        raise DomainError("fresnel needs finite xi > 0; see zero_freq_limit")
     q = q_hat(xi, k_hat)
     k_inside = np.sqrt(k_hat * k_hat + eps * xi * xi)
     r_tm = (eps * q - k_inside) / (eps * q + k_inside)
@@ -62,13 +63,18 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
     which vanishes identically for a k-independent response, collapsing
     both amplitudes to the Fresnel forms bit for bit.
     """
-    if np.any(np.asarray(xi) <= 0.0):
-        raise DomainError("nonlocal_coeffs needs xi > 0")
+    if not finite_and_positive(xi):       # k_hat is scanned by eval_imag_axis
+        raise DomainError("nonlocal_coeffs needs a finite xi > 0")
     if np.any(eps.eps_l == 0.0):
         raise DomainError("eps_l = 0 makes the TM coefficient singular")
-    q = q_hat(xi, k_hat)
-    k_t = np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi)
-    corr = k_hat * (eps.eps_t - eps.eps_l) / eps.eps_l
+    return _amplitudes(eps, q_hat(xi, k_hat),
+                       np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi), k_hat)
+
+
+def _amplitudes(eps: EpsPair, q, k_t, k):
+    """Both amplitudes from the vacuum and transverse normal wavenumbers
+    q, k_t and the in-plane wavenumber k, all in units of one frequency."""
+    corr = k * (eps.eps_t - eps.eps_l) / eps.eps_l
     r_tm = (eps.eps_t * q - k_t - corr) / (eps.eps_t * q + k_t + corr)
     r_te = (q - k_t) / (q + k_t)
     return ReflectionPair(r_tm, r_te)
@@ -78,6 +84,8 @@ def impedance_closed(eps: EpsPair, xi, k_hat):
     """Surface impedances when the permittivities carry no k_z dependence."""
     if not 0.0 < xi < math.inf:                     # NaN fails too
         raise DomainError("impedance_closed needs a finite xi > 0")
+    if not finite_and_positive(k_hat, allow_zero=True):
+        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
     k_t = np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi)
     z_tm = (k_hat / eps.eps_l + (k_t - k_hat) / eps.eps_t) / xi
     z_te = xi / k_t
@@ -172,8 +180,8 @@ def zero_freq_limit(model: ResponseModel, k_hat):
     amplitude controlled by v_T while its TM amplitude dips below unity
     through v_L.
     """
-    if np.any(k_hat <= 0.0):
-        raise DomainError("zero_freq_limit needs k_hat > 0")
+    if not finite_and_positive(k_hat):
+        raise DomainError("zero_freq_limit needs a finite k_hat > 0")
 
     if isinstance(model, PerfectReflector):
         return ReflectionPair(1.0, -1.0)
@@ -235,13 +243,10 @@ def real_axis_coeffs(model: ResponseModel, omega, theta):
     if isinstance(model, PerfectReflector):
         return ReflectionPair(complex(1.0), complex(-1.0))
     st = math.sin(theta)
-    ct = math.cos(theta)
     pair = eval_real_axis(model, omega, omega * st)
-    root = complex(_decaying_root(pair.eps_t - st * st))
-    corr = 1j * st * (pair.eps_t - pair.eps_l) / pair.eps_l
-    r_tm = (pair.eps_t * ct - root - corr) / (pair.eps_t * ct + root + corr)
-    r_te = (ct - root) / (ct + root)
-    return ReflectionPair(r_tm, r_te)
+    # the imaginary-axis formulas with every wavenumber divided by -i omega
+    return _amplitudes(pair, math.cos(theta),
+                       complex(_decaying_root(pair.eps_t - st * st)), 1j * st)
 
 
 class ReflectanceDeviation(NamedTuple):

@@ -28,6 +28,13 @@ if TYPE_CHECKING:
 FOUR_PI = 12.566370614359172
 
 
+def finite_and_positive(values, allow_zero=False) -> bool:
+    """Whether every entry is finite and > 0 (>= 0 with allow_zero)."""
+    v = np.asarray(values)           # min and max propagate NaN: it fails
+    low, high = v.min(initial=np.inf), v.max(initial=0.0)
+    return (low >= 0.0 if allow_zero else low > 0.0) and high < np.inf
+
+
 @dataclass(frozen=True)
 class DrudeParams:
     """Plasma frequency and relaxation rate, both as energies in eV."""
@@ -126,11 +133,9 @@ def eval_imag_axis(model: ResponseModel, xi: float, k_hat: float = 0.0) -> EpsPa
     rejected: the static limit enters the theory only through the analytic
     zero-frequency reflection coefficients.
     """
-    # min and max propagate NaN, so it fails too; empty arrays pass
-    x, k = np.asarray(xi), np.asarray(k_hat)
-    if not (x.min(initial=np.inf) > 0.0 and x.max(initial=0.0) < np.inf):
+    if not finite_and_positive(xi):
         raise DomainError(f"xi must be finite and positive, got {xi}")
-    if not (k.min(initial=0.0) >= 0.0 and k.max(initial=0.0) < np.inf):
+    if not finite_and_positive(k_hat, allow_zero=True):
         raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
 
     if isinstance(model, Drude):

@@ -89,6 +89,8 @@ def parse_experiment_csv(text: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
         if len(values) != 3:
             raise ParseError(f"expected 3 columns, got {len(values)}",
                              line=lineno)
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite entry in {parts!r}", line=lineno)
         if values[0] <= 0.0:
             raise ParseError(f"separation must be positive, got {values[0]}",
                              line=lineno)

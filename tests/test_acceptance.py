@@ -13,14 +13,12 @@ import numpy as np
 from scipy.special import zeta
 
 from conftest import ACCEPTANCE_LINES
-from nlcasimir import (CONSTANTS, Drude, NonlocalAlt,
+from nlcasimir import (CONSTANTS, RELATIONS, Drude, NonlocalAlt,
                        NonlocalParams, PerfectReflector, Plasma,
                        PressureQuery, casimir_pressure, eval_imag_axis,
                        eval_real_axis, fresnel, gold_default, impedance_closed,
                        impedance_numeric, nonlocal_coeffs,
-                       reflectance_deviation, verify_kk_L,
-                       verify_kk_imag_axis_T, verify_kk_imag_from_real_T,
-                       verify_kk_real_from_imag_T, zero_freq_limit)
+                       reflectance_deviation, verify_kk, zero_freq_limit)
 
 GOLD = gold_default()
 PARAMS = GOLD.params
@@ -188,8 +186,9 @@ def test_criterion_7_reflectance_deviation_bounds():
 
 
 def test_criterion_8_kk_suite():
-    # At k = 0 two things hold by construction (see verify_kk_L and the
-    # kk-verify exit-code contract in the README):
+    # At k = 0 two things hold by construction (see the comments on
+    # kramers_kronig.RELATIONS and the kk-verify exit-code contract in the
+    # README):
     # - v_L k_hat = 0 leaves eps_L in the Drude form with its first-order
     #   pole, so the insulator-form l-imag-from-real omits the static
     #   conductivity and fails; its report carries the conducting-limit
@@ -200,28 +199,27 @@ def test_criterion_8_kk_suite():
     #   omega_p^2 v_T k_hat / gamma that vanishes at k = 0, so there they
     #   equal the full relation and are applied only at k > 0.
     start = time.perf_counter()
-    transverse = (verify_kk_real_from_imag_T, verify_kk_imag_from_real_T,
-                  verify_kk_imag_axis_T)
+    transverse = ("t-real-from-imag", "t-imag-from-real", "t-imag-axis")
     worst_relation = ("", 0.0)
     worst_control = ("", math.inf)
     flagged = {}
     controls_inert_at_zero = True
     for k in (0.0, 0.2, 1.0):
-        full = {fn: fn(PARAMS, k) for fn in transverse}
-        for rep in (*full.values(), *verify_kk_L(PARAMS, k)):
+        full = {rel: verify_kk(rel, PARAMS, k) for rel in RELATIONS}
+        for rep in full.values():
             name = f"{rep.relation}@k={k}"
             if "conducting limit" in rep.note:
                 flagged[name] = rep
             elif rep.max_residual > worst_relation[1]:
                 worst_relation = (name, rep.max_residual)
-        for fn in transverse:
-            ctrl = fn(PARAMS, k, include_pole_terms=False)
-            sigma = fn is verify_kk_imag_from_real_T
+        for rel in transverse:
+            ctrl = verify_kk(rel, PARAMS, k, include_pole_terms=False)
+            sigma = rel == "t-imag-from-real"
             if k == 0.0 and sigma:
                 sigma_control = ctrl.residuals
-                t_imag_at_zero = full[fn].max_residual
+                t_imag_at_zero = full[rel].max_residual
             if k == 0.0 and not sigma:
-                controls_inert_at_zero &= ctrl.residuals == full[fn].residuals
+                controls_inert_at_zero &= ctrl.residuals == full[rel].residuals
             elif ctrl.residuals[0] < worst_control[1]:
                 worst_control = (f"{ctrl.relation}@k={k}", ctrl.residuals[0])
     elapsed = time.perf_counter() - start

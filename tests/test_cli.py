@@ -1,5 +1,6 @@
 """Command-line behavior: emitted data streams and exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -110,6 +111,25 @@ def test_study_scripts_run(tmp_path):
         _, _, rows = parse_csv(
             (tmp_path / f"reflectance_{angle}.csv").read_text())
         assert len(rows) == 3
+
+
+def test_perfbench_tracer_changes_no_output_byte(capsys):
+    # perfbench/tracing.py patches names in nlcasimir.cli by name; if one
+    # is gone, installing the tracer raises AttributeError
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", SCRIPTS.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    commands = (["kk-verify", "--kperp", "0.2"],
+                ["pressure", "--a-min", "1", "--a-max", "1", "--points", "1"])
+    plain = [run_cli(capsys, argv) for argv in commands]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = [run_cli(capsys, argv) for argv in commands]
+    assert traced == plain
+    assert plain[0][0] == 0 and plain[1][0] == 0
+    assert tracer.calls["lifshitz"] == 3          # drude, nonlocal, plasma
+    assert tracer.counts["kk.pv_calls"] == 6 * 13
 
 
 def test_json_payload_shape(capsys):
@@ -371,7 +391,7 @@ def test_parameter_overrides_reach_the_model(capsys):
     assert math.isclose(rows[0][2], want, rel_tol=1e-8)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run_cli(capsys, ["pressure"])[0] == 2          # missing --a-min
     assert run_cli(capsys, [])[0] == 2                    # missing command
     code, _, err = run_cli(capsys, [
@@ -390,3 +410,20 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err
+    # and so are non-finite entries of data files, with their line number
+    path = tmp_path / "data"
+    for old, new in (("6.0 ", "nan "), ("6.0 ", "inf "), ("1.30", "nan")):
+        path.write_text(OPTICAL_TEXT.replace(old, new))
+        for argv in (["epsilon"], ["pressure", "--a-min", "1", "--a-max", "1",
+                                   "--points", "1"]):
+            code, out, err = run_cli(capsys, [*argv, "--optical-data",
+                                              str(path)])
+            assert code == 2 and out == ""
+            assert "error: line 8: non-finite" in err
+    for old, new in (("6.0e-6", "inf"), ("1.0e-7", "nan")):
+        path.write_text(EXPT_TEXT.replace(old, new))
+        code, out, err = run_cli(capsys, [
+            "gradient", "--model", "drude", "--radius", "50", "--expt",
+            str(path)])
+        assert code == 2 and out == ""
+        assert "non-finite" in err

@@ -55,6 +55,12 @@ def test_parse_rejects_unsorted_energies():
 def test_parse_rejects_negative_optical_constants():
     with pytest.raises(ParseError):
         parse_optical_table("1.0 -0.5 2.0\n2.0 0.6 1.0\n")
+    # NaN passes every comparison, the ordering test included
+    for row in ("nan 0.6 1.0", "inf 0.6 1.0", "2.0 nan 1.0", "2.0 inf 1.0",
+                "2.0 0.6 nan", "2.0 0.6 inf"):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_optical_table(f"1.0 0.5 2.0\n{row}\n3.0 0.7 0.9\n")
+        assert err.value.line == 2
 
 
 def test_parse_needs_two_rows():

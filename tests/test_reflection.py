@@ -39,6 +39,11 @@ def test_fresnel_oracle():
 def test_fresnel_rejects_zero_frequency():
     with pytest.raises(DomainError):
         fresnel(100.0, 0.0, 1.0)
+    for bad in (math.nan, math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            fresnel(2.0, bad, 1.0)
+        with pytest.raises(DomainError):
+            nonlocal_coeffs(EpsPair(2.0, 2.0), bad, 1.0)
 
 
 @given(xi=st.floats(1e-3, 1e2), k=st.floats(0.0, 1e2))
@@ -163,6 +168,9 @@ def test_numeric_impedance_domain_validation():
             impedance_numeric(eps_of_k, 1.0, 1.0, tol=bad)
         with pytest.raises(DomainError):
             impedance_closed(EpsPair(2.0, 2.0), bad, 1.0)
+    for bad in (math.nan, math.inf, -1.0, np.array([0.0, math.nan])):
+        with pytest.raises(DomainError):
+            impedance_closed(EpsPair(2.0, 2.0), 1.0, bad)
 
 
 def test_static_limits_of_the_local_models():
@@ -183,6 +191,13 @@ def test_static_limit_of_the_nonlocal_model():
         pair = zero_freq_limit(GOLD, k)
         assert math.isclose(pair.r_tm, tm, rel_tol=1e-13)
         assert math.isclose(pair.r_te, te, rel_tol=1e-13)
+
+
+def test_static_limits_need_a_finite_wavevector():
+    for model in (PerfectReflector(), DRUDE, Plasma(9.0), GOLD):
+        for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError):
+                zero_freq_limit(model, bad)
 
 
 def test_static_nonlocal_limit_needs_dissipation():

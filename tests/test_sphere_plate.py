@@ -111,6 +111,11 @@ def test_parse_rejects_malformed_rows():
         parse_experiment_csv("1.0, 2.0, -0.1\n")        # negative sigma
     with pytest.raises(ParseError):
         parse_experiment_csv("-1.0, 2.0, 0.1\n")        # nonpositive a
+    for row in ("nan, 2.0, 0.1", "inf, 2.0, 0.1", "1.0, nan, 0.1",
+                "1.0, -inf, 0.1", "1.0, 2.0, nan", "1.0, 2.0, inf"):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_experiment_csv(f"a, F, s\n0.5, 1.0, 0.1\n{row}\n")
+        assert err.value.line == 3
     with pytest.raises(ParseError) as err:
         parse_experiment_csv("# only comments\n")
     assert "no data rows" in str(err.value)
