@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -231,6 +232,8 @@ def _emit_table(cfg: RunConfig, meta: dict, header: List[str],
 def _grid(lo: float, hi: float, points: int) -> np.ndarray:
     if points < 1:
         raise DomainError(f"points must be >= 1, got {points}")
+    if not lo > 0.0:                                # NaN fails too
+        raise DomainError(f"the range must start above 0, got {lo}")
     if lo > hi:
         raise DomainError(f"empty range [{lo}, {hi}]")
     return np.linspace(lo, hi, points)
@@ -239,48 +242,38 @@ def _grid(lo: float, hi: float, points: int) -> np.ndarray:
 def _cmd_epsilon(args, cfg: RunConfig) -> str:
     grid = _grid(args.omega_min, args.omega_max, args.points)
     core = _load_core(cfg) if cfg.optical_data else None
+    model = _build_model("nonlocal", cfg, core)
     if args.axis == "imag":
-        model = _build_model("nonlocal", cfg, core)
         header = ["xi_eV", "eps_L", "eps_T"]
-        rows = []
-        for xi in grid:
-            pair = eval_imag_axis(model, float(xi), args.kperp)
-            rows.append([xi, pair.eps_l, pair.eps_t])
+        pair = eval_imag_axis(model, grid, args.kperp)
+        columns = [pair.eps_l, pair.eps_t]
     else:
         if core is not None:
             raise DomainError(
                 "interband cores are defined on the imaginary axis only; "
                 "drop --optical-data for --axis real")
-        model = _build_model("nonlocal", cfg, None)
         header = ["omega_eV", "re_eps_L", "im_eps_L", "re_eps_T", "im_eps_T"]
-        rows = []
-        for om in grid:
-            pair = eval_real_axis(model, float(om), args.kperp)
-            rows.append([om, pair.eps_l.real, pair.eps_l.imag,
-                         pair.eps_t.real, pair.eps_t.imag])
+        pair = eval_real_axis(model, grid, args.kperp)
+        columns = [pair.eps_l.real, pair.eps_l.imag,
+                   pair.eps_t.real, pair.eps_t.imag]
     meta = {"command": "epsilon", "axis": args.axis,
             "kperp_eV": _fmt(args.kperp)}
-    return _emit_table(cfg, meta, header, rows)
+    return _emit_table(cfg, meta, header, np.column_stack([grid, *columns]))
 
 
 def _cmd_pressure(args, cfg: RunConfig) -> str:
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     if not names:
         raise DomainError("--models must name at least one model")
-    seen = set()
-    for n in names:
-        if n in seen:
-            raise DomainError(f"model {n!r} listed twice")
-        seen.add(n)
+    if len(set(names)) < len(names):
+        raise DomainError(f"a model is listed twice in {args.models!r}")
     core = _load_core(cfg) if cfg.optical_data else None
     models = {n: _build_model(n, cfg, core) for n in names}
     grid = _grid(args.a_min, args.a_max, args.points)
-    if grid[0] <= 0.0:
-        raise DomainError("separations must be positive")
 
     header = ["a_um"] + [f"P_{n}_Pa" for n in names]
-    with_ratio_nl = "nonlocal" in seen and "drude" in seen
-    with_ratio_pl = "plasma" in seen and "drude" in seen
+    with_ratio_nl = "nonlocal" in names and "drude" in names
+    with_ratio_pl = "plasma" in names and "drude" in names
     if with_ratio_nl:
         header.append("ratio_nl_drude")
     if with_ratio_pl:
@@ -321,8 +314,6 @@ def _cmd_gradient(args, cfg: RunConfig) -> str:
             rows.append([a, theor, fp, fp - theor])
     else:
         grid = _grid(args.a_min, args.a_max, args.points)
-        if grid[0] <= 0.0:
-            raise DomainError("separations must be positive")
         header = ["a_um", "Fprime_theor"]
         rows = [[a, force_gradient(float(a), sp, pressure)] for a in grid]
     meta = {"command": "gradient", "model": args.model,
@@ -403,6 +394,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    del parser          # its reference cycles would wait for a full collection
+    gc.collect(1)
 
     exit_code = 0
     try:

@@ -17,15 +17,18 @@ the transverse pole subtraction.  RELATIONS has one row per relation id,
 commented with the folded formula it checks, and verify_kk runs a row on
 a grid; it is the only entry point to the checks.
 
-Every relation integrates the same real-axis EpsPair of one model at one
-k_hat, and the adaptive pieces of neighbouring grid points and of the
-six relations sample many of the same x.  verify_kk therefore reads its
-real-axis values, integrand samples and left-hand sides alike, from one
-table per (model, k_hat) that evaluates eval_real_axis once per distinct
-x and keeps it.  The last table used stays alive, so consecutive
-relations at one wavevector share it and a new wavevector frees it.  A
-sample is the same value whichever relation asked first, so sharing
-cannot change a residual.
+verify_kk runs a relation as one pass of nlcasimir.quadrature whose rows
+are its grid points w; eval_real_axis takes all nodes as one array.
+Each row starts on [0, 1e-3] eV and 28 log panels up to the cutoff K =
+1e4 eV, split at the break points (gamma, v_L k_hat) and at w, and runs
+in u, its initial panel's index plus the position inside it, so that
+each initial panel gets the same share of the tolerance.  On the real
+axis the pole is subtracted, leaving the integrand finite at x = w:
+
+    PV int_0^K g(x) / (x^2 - w^2) dx = int_0^K [g(x) - g(w)] / (x^2 - w^2) dx
+                                       + g(w) ln((K - w) / (K + w)) / (2w)
+
+The tail beyond K is K f(K), as in pv_integral, the slow reference.
 
 All integrals are folded onto (0, cutoff) using the Hermitian symmetry
 eps(-x) = conj(eps(x)) that the underlying models obey, so the kernels
@@ -38,7 +41,6 @@ where it is close to 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -47,6 +49,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
+from .quadrature import integrate
 from .response import (FOUR_PI, NonlocalAlt, NonlocalParams, eval_imag_axis,
                        eval_real_axis, static_transverse_conductivity)
 
@@ -76,12 +79,6 @@ class PVSettings:
                               "excision window")
         if not 0.0 < self.tol <= 1e-2:
             raise DomainError(f"tol must lie in (0, 1e-2], got {self.tol}")
-
-
-# verify_kk needs tighter pieces than the user-facing default: the two
-# half-line pieces cancel near the pole, so their absolute errors must be
-# small against the difference, not against themselves
-_VERIFY_SETTINGS = PVSettings(tol=1e-9)
 
 
 @dataclass
@@ -175,82 +172,40 @@ def _resolve_grid(grid, label):
     return g
 
 
-def _residual(lhs, rhs):
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
-
 _EPS_L, _EPS_T = 0, 1          # EpsPair fields
-
-
-class _Samples(dict):
-    """eval_real_axis(model, x, k_hat) by x, each evaluated on first use.
-
-    Keys compare by value, so a float and an equal np.float64 share one
-    entry, although numpy divides complex numbers with other rounding.
-    QUADPACK passes floats, the window rule and the grids np.float64;
-    over the eight wavevectors of the causality benchmark no x arrives
-    both ways.
-    """
-
-    def __init__(self, model, k_hat):
-        super().__init__()
-        self.model, self.k_hat = model, k_hat
-
-    def __missing__(self, x):
-        # through the module-global name, so a patched eval_real_axis
-        # sees every evaluation
-        pair = self[x] = eval_real_axis(self.model, x, self.k_hat)
-        return pair
-
-
-# one slot: the relations of one wavevector run back to back, and a table
-# holds about 10^4 samples; typed, so a numpy k_hat keeps its own arithmetic
-@functools.lru_cache(maxsize=1, typed=True)
-def _real_axis_samples(model, k_hat):
-    return _Samples(model, k_hat)
+_CUTOFF = PVSettings().cutoff  # eV; the tail estimate K f(K) covers the rest
+# [0, 1e-3] eV, then four log panels per decade up to the cutoff
+_EDGES = np.concatenate([[0.0], np.geomspace(1e-3, _CUTOFF, 29)])
+# |K15 - G7| is G7's error, far above K15's; much below 1e-6 it meets the
+# rounding of Re eps_T + W / x^2 near x = 0, which bisection only worsens
+_TOL, _ABS_TOL = 1e-6, 1e-12
 
 
 class Kernel(NamedTuple):
-    """What a relation integrates and rebuilds, whatever the component.
-
-    integrand(samples, part, w, pole_weight) is the function of x sampled
-    for grid point w, where samples is the real-axis table of the model at
-    the relation's k_hat; samples[x][part] is a dict lookup once x has
-    been evaluated, so a repeated sample costs no Python call.
-    """
+    """What a relation integrates and rebuilds, whatever the component:
+    g(x) / (x^2 -+ w^2) on the real (imaginary) axis, g = spectral(eps)."""
 
     real_axis: bool        # grid of omega, principal value at x = omega
-    integrand: Callable
+    spectral: Callable
     rebuild: Callable      # (w, integral) -> right-hand side
-    target: Callable       # (samples, w, part) -> left-hand side
+    target: Callable       # eps at w, on the relation's axis -> left-hand side
 
 
 def _one_plus_spectral(w, integral):
     return 1.0 + (2.0 / math.pi) * integral
 
 
-_REAL_FROM_IMAG = Kernel(
-    True,
-    lambda samples, part, om, pole_weight: lambda x: (
-        x * samples[x][part].imag / (x * x - om * om)),
-    _one_plus_spectral,
-    lambda samples, om, part: samples[om][part].real)
+def _x_imag(eps, x, pole_weight):
+    return x * np.imag(eps)
+
+
+_REAL_FROM_IMAG = Kernel(True, _x_imag, _one_plus_spectral, np.real)
 # pole_weight / x^2 cancels the second-order pole of Re eps_T at x = 0,
 # without which the integral does not exist; eps_L has weight 0
 _IMAG_FROM_REAL = Kernel(
-    True,
-    lambda samples, part, om, pole_weight: lambda x: (
-        (samples[x][part].real + pole_weight / (x * x))
-        / (x * x - om * om)),
-    lambda om, integral: -(2.0 * om / math.pi) * integral,
-    lambda samples, om, part: samples[om][part].imag)
-_IMAG_AXIS = Kernel(
-    False,
-    lambda samples, part, xi, pole_weight: lambda x: (
-        x * samples[x][part].imag / (x * x + xi * xi)),
-    _one_plus_spectral,
-    lambda samples, xi, part: eval_imag_axis(samples.model, xi,
-                                             samples.k_hat)[part])
+    True, lambda eps, x, pole_weight: np.real(eps) + pole_weight / (x * x),
+    lambda om, integral: -(2.0 * om / math.pi) * integral, np.imag)
+_IMAG_AXIS = Kernel(False, _x_imag, _one_plus_spectral, lambda eps: eps)
 
 
 class Relation(NamedTuple):
@@ -293,14 +248,11 @@ RELATIONS = {
 
 
 def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
-    """Check the inputs for one component and return (quadrature break
-    points, pole weight omega_p^2 v_T k_hat / gamma, 4 pi sigma_0)."""
+    """(break points, pole weight W, 4 pi sigma_0) of checked inputs."""
     p = params.drude
     transverse = part == _EPS_T
     if transverse and p.gamma <= 0.0:
         raise DomainError("transverse dispersion relations need gamma > 0")
-    if not 0.0 <= k_hat < math.inf:                 # NaN fails too
-        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
     if transverse:
         return ((p.gamma,), p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma,
                 FOUR_PI * static_transverse_conductivity(params, k_hat))
@@ -313,6 +265,40 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
         raise DomainError("longitudinal relations carry no pole subtraction "
                           "to drop")
     return (p.gamma, vlk), 0.0, None
+
+
+def _integrals(kernel, part, model, k_hat, w, hints, pole_weight):
+    """The kernel's integrals over (0, inf) at the grid points w."""
+    def g(x):
+        return kernel.spectral(eval_real_axis(model, x, k_hat)[part], x,
+                               pole_weight)
+
+    shift = w * w if kernel.real_axis else -(w * w)     # f = g / (x^2 - shift)
+    g_ends = g(np.append(w, _CUTOFF))
+    pole = g_ends[:-1] if kernel.real_axis else np.zeros_like(w)
+
+    n = len(w)
+    x_edges = np.sort(np.column_stack([
+        np.tile(_EDGES, (n, 1)), np.tile(np.clip(hints, 0.0, _CUTOFF), (n, 1)),
+        np.clip(w, 0.0, _CUTOFF)]), axis=1)
+    # edges within 1e-9 share a u edge, so no node can round onto the pole
+    u_edges = np.column_stack([np.zeros(n), np.cumsum(
+        np.diff(x_edges) > 1e-9 * x_edges[:, 1:], axis=1)])
+    at_u = x_edges.copy()                  # at_u[row, j]: x at u = j
+    at_u[np.arange(n)[:, None], u_edges.astype(int)] = x_edges
+
+    def integrand(rows, u):
+        r, j = rows[:, None], u.astype(int)
+        lo, hi = at_u[r, j], at_u[r, j + 1]
+        x = lo + (u - j) * (hi - lo)
+        return (hi - lo) * (g(x) - pole[r]) / (x * x - shift[r])
+
+    total, _, converged = integrate(integrand, u_edges, _TOL, _ABS_TOL)
+    if not (converged.all() and np.isfinite(total).all()):
+        raise ConvergenceError("dispersion integral stalled", total)
+    if kernel.real_axis:
+        total = total + pole * np.log((_CUTOFF - w) / (_CUTOFF + w)) / (2.0 * w)
+    return total + _CUTOFF * g_ends[-1] / (_CUTOFF * _CUTOFF - shift)
 
 
 def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
@@ -332,20 +318,20 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
         rel.part, params, k_hat, include_pole_terms)
     kernel = rel.kernel
     g = _resolve_grid(grid, "omega_grid" if kernel.real_axis else "xi_grid")
-    samples = _real_axis_samples(NonlocalAlt(params), k_hat)
+    if kernel.real_axis and not np.all(g < _CUTOFF):
+        raise DomainError(f"omega_grid must lie below the cutoff {_CUTOFF} eV")
+    model = NonlocalAlt(params)
 
-    residuals = []
-    for w in g:
-        f = kernel.integrand(samples, rel.part, w, pole_weight)
-        integral = pv_integral(f, pole=w if kernel.real_axis else None,
-                               settings=_VERIFY_SETTINGS, lo=0.0, points=hints)
-        rhs = kernel.rebuild(w, integral)
-        if include_pole_terms and rel.subtraction is not None:
-            rhs += rel.subtraction(w, pole_weight, sigma_term)
-        lhs = kernel.target(samples, w, rel.part)
-        residuals.append(_residual(lhs, rhs))
+    rhs = kernel.rebuild(g, _integrals(kernel, rel.part, model, k_hat, g,
+                                       hints, pole_weight))
+    if include_pole_terms and rel.subtraction is not None:
+        rhs = rhs + rel.subtraction(g, pole_weight, sigma_term)
+    # through the module-global names, so that a patched one sees the call
+    axis = eval_real_axis if kernel.real_axis else eval_imag_axis
+    lhs = kernel.target(axis(model, g, k_hat)[rel.part])
+    residuals = np.abs(lhs - rhs) / np.maximum(
+        np.maximum(abs(lhs), abs(rhs)), 1.0)
     conducting = params.drude.gamma == 0.0 or params.v_l_ratio * k_hat == 0.0
     return KKReport(relation, float(k_hat), tuple(float(x) for x in g),
-                    tuple(residuals), max(residuals),
+                    tuple(float(r) for r in residuals), float(residuals.max()),
                     note=rel.note if conducting else "")
-

@@ -11,13 +11,11 @@ far beyond double precision.  Every term, l = 0 included, is integrated
 in u = sqrt(y - y_l), Jacobian 2u, where k_hat = c1 u sqrt(2 y_l + u^2),
 c1 = hbar c/(2a), is free of cancellation and the nonlocal eps_T (linear
 in k_hat) has no square-root branch; the static term takes
-zero_freq_limit at k_hat = c1 u^2.  Seven u-panels carry a G7/K15
-Gauss-Kronrod rule: K15 is the value, |K15 - G7| the error estimate.
+zero_freq_limit at k_hat = c1 u^2.
 
-A block of terms goes through the reflection chain in one 2-d pass.  In a
-row that misses quad_tol, every panel whose error exceeds its width's
-share of the tolerance is bisected, all rows at once in another 2-d
-pass, until the row meets it or holds _MAX_PANELS panels.  Rows with
+A block of terms goes through the reflection chain in one 2-d pass of
+the G7/K15 quadrature of nlcasimir.quadrature, on seven u-panels per term
+at the start, and rows that miss quad_tol are refined.  Rows with
 |I| + err below term_tol times the sum so far are not refined: the stop
 test ends the sum there.  A row the sum consumes while still missing is
 refined alone, or raises ConvergenceError.  Terms accumulate in ascending
@@ -34,37 +32,16 @@ import numpy as np
 
 from .constants import CONSTANTS, matsubara_xi, pressure_to_pascal
 from .errors import ConvergenceError, DomainError
+from .quadrature import integrate
 from .response import ResponseModel
 from .reflection import reflection_pair, zero_freq_limit
 
 APERY = 1.2020569031595943      # zeta(3)
 SPAN = 50.0                     # width of each term's y-integration window
 
-# Kronrod nodes x >= 0 on [-1, 1], their K15 weights and the G7 weights,
-# which are 0 on the nodes G7 lacks
-_KRONROD_X = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
-              0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
-              0.207784955007898468, 0.0)
-_KRONROD_W = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
-              0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
-              0.204432940075298892, 0.209482141084727828)
-_GAUSS_W = (0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
-            0.0, 0.381830050505118945, 0.0, 0.417959183673469388)
-
-
-def _gauss_kronrod():
-    """The 15 nodes and a (15, 2) matrix of K15 and G7 weights."""
-    x = np.array(_KRONROD_X)
-    columns = [np.concatenate([w[:-1], w[::-1]])
-               for w in (np.array(_KRONROD_W), np.array(_GAUSS_W))]
-    return np.concatenate([-x[:-1], x[::-1]]), np.column_stack(columns)
-
-
-_NODES, _WEIGHTS = _gauss_kronrod()
 # panel edges in u; finer near the integrand peak
 _U_EDGES = np.sqrt((0.0, 0.5, 2.0, 5.0, 10.0, 18.0, 30.0, SPAN))
 _BLOCK = 64                     # Matsubara terms evaluated per vectorized pass
-_MAX_PANELS = 128               # refinement stops once a term has this many
 
 
 @dataclass(frozen=True)
@@ -104,54 +81,20 @@ def _summand(y, r):
     return y * y * total
 
 
-def _panels(model, c1, xi, y_lo, rows, lo, hi):
-    """K15 values and |K15 - G7| errors on the u-panels [lo, hi] of rows.
-
-    One 2-d pass, one row per panel.  xi None means the static term.
-    """
-    half = 0.5 * (hi - lo)
-    u = (lo + half)[:, None] + half[:, None] * _NODES
-    y0 = y_lo[rows][:, None]
-    if xi is None:
-        pair = zero_freq_limit(model, c1 * u * u)
-    else:
-        pair = reflection_pair(model, xi[rows][:, None],
-                               c1 * u * np.sqrt(2.0 * y0 + u * u))
-    kg = (2.0 * u * _summand(y0 + u * u, pair)) @ _WEIGHTS * half[:, None]
-    return kg[:, 0], np.abs(kg[:, 0] - kg[:, 1])
-
-
 def _integrate(model, c1, xi, y_lo, quad_tol, floor):
-    """Wavevector integrals of a block of Matsubara terms.
+    """(integrals, errors, converged flags) of the terms xi, y_lo (xi None:
+    the static term, y_lo = 0); rows with |I| + err < floor are not refined."""
+    def u_integrand(rows, u):
+        y0 = y_lo[rows][:, None]
+        if xi is None:
+            pair = zero_freq_limit(model, c1 * u * u)
+        else:
+            pair = reflection_pair(model, xi[rows][:, None],
+                                   c1 * u * np.sqrt(2.0 * y0 + u * u))
+        return 2.0 * u * _summand(y0 + u * u, pair)
 
-    xi and y_lo hold one entry per term (xi None: the static term at
-    y_lo = 0).  Rows that miss quad_tol and have |I| + err >= floor are
-    refined by bisecting their missing panels.  Returns (integrals, error
-    estimates, converged flags).
-    """
-    n = len(y_lo)
-    new = (np.repeat(np.arange(n), len(_U_EDGES) - 1),
-           np.tile(_U_EDGES[:-1], n), np.tile(_U_EDGES[1:], n))
-    kept = (np.empty(0, int),) + (np.empty(0),) * 4
-    while True:
-        rows, lo, hi, val, err = (
-            np.concatenate(pair) for pair in
-            zip(kept, new + _panels(model, c1, xi, y_lo, *new)))
-        total = np.bincount(rows, val, n)
-        error = np.bincount(rows, err, n)
-        tol = np.maximum(quad_tol * np.abs(total), 5e-324)
-        missing = error > tol
-        refine = (missing & (np.abs(total) + error >= floor)
-                  & (np.bincount(rows, minlength=n) < _MAX_PANELS))
-        if not refine.any():
-            return total, error, ~missing
-        # a panel misses when its error exceeds its width's share of tol
-        split = refine[rows] & (err * _U_EDGES[-1] > tol[rows] * (hi - lo))
-        mid = 0.5 * (lo[split] + hi[split])
-        new = (np.repeat(rows[split], 2),
-               np.column_stack([lo[split], mid]).ravel(),
-               np.column_stack([mid, hi[split]]).ravel())
-        kept = tuple(x[~split] for x in (rows, lo, hi, val, err))
+    edges = np.broadcast_to(_U_EDGES, (len(y_lo), len(_U_EDGES)))
+    return integrate(u_integrand, edges, quad_tol, floor=floor)
 
 
 def _refined(model, c1, xi, y_lo, quad_tol):

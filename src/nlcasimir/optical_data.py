@@ -77,6 +77,8 @@ def parse_optical_table(lines) -> OpticalTable:
             raise ParseError(f"non-numeric value in {text!r}", line=lineno)
         if not all(map(math.isfinite, (e, n, k))):
             raise ParseError(f"non-finite value in {text!r}", line=lineno)
+        if e <= 0.0:
+            raise ParseError(f"energy must be positive, got {e}", line=lineno)
         if n < 0.0 or k < 0.0:
             raise ParseError("negative n or k", line=lineno)
         if last_e is not None and e <= last_e:

@@ -23,11 +23,12 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .response import (Drude, EpsPair, NonlocalAlt, PerfectReflector, Plasma,
-                       ResponseModel, WithCore, eval_imag_axis, eval_real_axis,
-                       finite_and_positive)
+                       ResponseModel, WithCore, check_point, eval_imag_axis,
+                       eval_real_axis, finite_and_positive)
 
 
 class ReflectionPair(NamedTuple):
@@ -46,14 +47,8 @@ def q_hat(xi, k_hat):
 
 
 def fresnel(eps, xi, k_hat):
-    """Fresnel amplitudes for a local permittivity at imaginary frequency."""
-    if not finite_and_positive(xi):
-        raise DomainError("fresnel needs finite xi > 0; see zero_freq_limit")
-    q = q_hat(xi, k_hat)
-    k_inside = np.sqrt(k_hat * k_hat + eps * xi * xi)
-    r_tm = (eps * q - k_inside) / (eps * q + k_inside)
-    r_te = (q - k_inside) / (q + k_inside)
-    return ReflectionPair(r_tm, r_te)
+    """Fresnel amplitudes at imaginary frequency xi > 0 (eps_l = eps_t)."""
+    return nonlocal_coeffs(EpsPair(eps, eps), xi, k_hat)
 
 
 def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
@@ -63,10 +58,13 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
     which vanishes identically for a k-independent response, collapsing
     both amplitudes to the Fresnel forms bit for bit.
     """
-    if not finite_and_positive(xi):       # k_hat is scanned by eval_imag_axis
-        raise DomainError("nonlocal_coeffs needs a finite xi > 0")
+    check_point(xi, k_hat)
     if np.any(eps.eps_l == 0.0):
         raise DomainError("eps_l = 0 makes the TM coefficient singular")
+    return _imag_axis_amplitudes(eps, xi, k_hat)
+
+
+def _imag_axis_amplitudes(eps: EpsPair, xi, k_hat):
     return _amplitudes(eps, q_hat(xi, k_hat),
                        np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi), k_hat)
 
@@ -82,10 +80,7 @@ def _amplitudes(eps: EpsPair, q, k_t, k):
 
 def impedance_closed(eps: EpsPair, xi, k_hat):
     """Surface impedances when the permittivities carry no k_z dependence."""
-    if not 0.0 < xi < math.inf:                     # NaN fails too
-        raise DomainError("impedance_closed needs a finite xi > 0")
-    if not finite_and_positive(k_hat, allow_zero=True):
-        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
+    check_point(xi, k_hat)
     k_t = np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi)
     z_tm = (k_hat / eps.eps_l + (k_t - k_hat) / eps.eps_t) / xi
     z_te = xi / k_t
@@ -123,10 +118,6 @@ def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
     Raises ConvergenceError carrying the estimate if QUADPACK's error
     estimate for either integral exceeds tol times its value.
     """
-    from scipy.integrate import quad
-
-    from .errors import ConvergenceError
-
     if not 0.0 < xi < math.inf:                     # NaN fails too
         raise DomainError("impedance_numeric needs a finite xi > 0")
     if not 0.0 < tol < math.inf:
@@ -223,7 +214,8 @@ def reflection_pair(model: ResponseModel, xi, k_hat):
     """Amplitudes for any model at imaginary frequency xi > 0."""
     if isinstance(model, PerfectReflector):
         return ReflectionPair(1.0, -1.0)
-    return nonlocal_coeffs(eval_imag_axis(model, xi, k_hat), xi, k_hat)
+    # eval_imag_axis has checked xi and k_hat, and its eps_l is >= 1
+    return _imag_axis_amplitudes(eval_imag_axis(model, xi, k_hat), xi, k_hat)
 
 
 def _decaying_root(z):

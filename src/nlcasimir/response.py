@@ -35,6 +35,14 @@ def finite_and_positive(values, allow_zero=False) -> bool:
     return (low >= 0.0 if allow_zero else low > 0.0) and high < np.inf
 
 
+def check_point(x, k_hat, name="xi"):
+    """DomainError unless x > 0 and k_hat >= 0, all finite."""
+    if not finite_and_positive(x):
+        raise DomainError(f"{name} must be finite and positive, got {x}")
+    if not finite_and_positive(k_hat, allow_zero=True):
+        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
+
+
 @dataclass(frozen=True)
 class DrudeParams:
     """Plasma frequency and relaxation rate, both as energies in eV."""
@@ -133,10 +141,7 @@ def eval_imag_axis(model: ResponseModel, xi: float, k_hat: float = 0.0) -> EpsPa
     rejected: the static limit enters the theory only through the analytic
     zero-frequency reflection coefficients.
     """
-    if not finite_and_positive(xi):
-        raise DomainError(f"xi must be finite and positive, got {xi}")
-    if not finite_and_positive(k_hat, allow_zero=True):
-        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
+    check_point(xi, k_hat)
 
     if isinstance(model, Drude):
         p = model.params
@@ -163,35 +168,45 @@ def eval_imag_axis(model: ResponseModel, xi: float, k_hat: float = 0.0) -> EpsPa
     raise TypeError(f"unknown response model {model!r}")
 
 
-def eval_real_axis(model: ResponseModel, omega: float, k_hat: float = 0.0) -> EpsPair:
+def _drude_term(p: DrudeParams, omega):
+    """omega_p^2 / (omega (omega + i gamma)) as real and imaginary parts."""
+    scale = p.omega_p**2 / (omega * omega + p.gamma * p.gamma)
+    return scale, -scale * p.gamma / omega
+
+
+def _one_minus(re, im):
+    """1 - (re + i im); 1j * im scales by 0 and 1 only, so it is exact."""
+    return (1.0 - re) - 1j * im
+
+
+def eval_real_axis(model: ResponseModel, omega, k_hat=0.0) -> EpsPair:
     """Complex permittivity pair at real frequency omega (eV, > 0).
 
     Analytic continuation of the imaginary-axis forms, e^{-i omega t}
     convention, so Im eps > 0 means absorption.  The transverse component
     of the nonlocal model turns negative-dissipation for
     k_hat > gamma*c/v_T; the returned pair is then flagged non-passive.
+    omega and k_hat broadcast, each entry with the bits of its scalar call.
     """
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"omega must be finite and positive, got {omega}")
-    if not 0.0 <= k_hat < math.inf:
-        raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
+    check_point(omega, k_hat, "omega")
 
-    # the nonlocal model first: the Kramers-Kronig checks evaluate it about
-    # 478k times per `kk-verify` sweep over eight wavevectors
     if isinstance(model, NonlocalAlt):
         nl = model.params
         p = nl.drude
-        drude_term = p.omega_p**2 / (omega * (omega + 1j * p.gamma))
-        eps_t = 1.0 - drude_term * (1.0 + 1j * nl.v_t_ratio * k_hat / omega)
-        eps_l = 1.0 - drude_term / (1.0 + 1j * nl.v_l_ratio * k_hat / omega)
+        dr, di = _drude_term(p, omega)
+        # 1 - D (1 + i t) and 1 - D / (1 + i s) = 1 - D (1 - i s) / (1 + s^2)
+        t = nl.v_t_ratio * k_hat / omega
+        s = nl.v_l_ratio * k_hat / omega
+        eps_t = _one_minus(dr - di * t, dr * t + di)
+        eps_l = _one_minus((dr + di * s) / (1.0 + s * s),
+                           (di - dr * s) / (1.0 + s * s))
         passive = nl.v_t_ratio * k_hat <= p.gamma
         return EpsPair(eps_l, eps_t, passive)
     if isinstance(model, Drude):
-        p = model.params
-        e = 1.0 - p.omega_p**2 / (omega * (omega + 1j * p.gamma))
+        e = _one_minus(*_drude_term(model.params, omega))
         return EpsPair(e, e)
     if isinstance(model, Plasma):
-        e = complex(1.0 - model.omega_p**2 / (omega * omega), 0.0)
+        e = _one_minus(model.omega_p**2 / (omega * omega), 0.0)
         return EpsPair(e, e)
     if isinstance(model, WithCore):
         raise UnsupportedOperationError(

@@ -129,7 +129,7 @@ def test_perfbench_tracer_changes_no_output_byte(capsys):
     assert traced == plain
     assert plain[0][0] == 0 and plain[1][0] == 0
     assert tracer.calls["lifshitz"] == 3          # drude, nonlocal, plasma
-    assert tracer.counts["kk.pv_calls"] == 6 * 13
+    assert tracer.counts["response.real_points"] > 0
 
 
 def test_json_payload_shape(capsys):
@@ -420,6 +420,11 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                                               str(path)])
             assert code == 2 and out == ""
             assert "error: line 8: non-finite" in err
+    # a photon energy of zero has no place on the real axis
+    path.write_text(OPTICAL_TEXT.replace("0.5 ", "0.0 "))
+    code, out, err = run_cli(capsys, ["epsilon", "--optical-data", str(path)])
+    assert code == 2 and out == ""
+    assert "error: line 2: energy must be positive" in err
     for old, new in (("6.0e-6", "inf"), ("1.0e-7", "nan")):
         path.write_text(EXPT_TEXT.replace(old, new))
         code, out, err = run_cli(capsys, [

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import nlcasimir.kramers_kronig as kk
-from nlcasimir import (RELATIONS, DomainError, DrudeParams, NonlocalParams,
-                       PVSettings, eval_imag_axis, eval_real_axis,
-                       gold_default, pv_integral, verify_kk)
+from nlcasimir import (RELATIONS, DomainError, Drude, DrudeParams,
+                       NonlocalAlt, NonlocalParams, Plasma, PVSettings,
+                       eval_imag_axis, eval_real_axis, gold_default,
+                       pv_integral, verify_kk)
 
 GOLD = gold_default().params
 LOSSLESS = NonlocalParams(drude=DrudeParams(omega_p=9.0, gamma=0.0),
@@ -162,47 +164,111 @@ def test_grid_validation():
                 verify_kk(relation, GOLD, 0.2, grid=[0.5, bad])
 
 
-def test_relations_at_one_wavevector_evaluate_each_sample_once(monkeypatch):
-    seen = []
+def _python_complex_eps(model, omega, k_hat):
+    """(eps_l, eps_t) on the real axis with Python complex arithmetic."""
+    if isinstance(model, Plasma):
+        return (complex(1.0 - model.omega_p**2 / (omega * omega), 0.0),) * 2
+    p = model.params if isinstance(model, Drude) else model.params.drude
+    drude = p.omega_p**2 / (omega * (omega + 1j * p.gamma))
+    if isinstance(model, Drude):
+        return (1.0 - drude,) * 2
+    nl = model.params
+    return (1.0 - drude / (1.0 + 1j * nl.v_l_ratio * k_hat / omega),
+            1.0 - drude * (1.0 + 1j * nl.v_t_ratio * k_hat / omega))
 
-    def counted(model, x, k_hat=0.0):
-        seen.append(x)
-        return eval_real_axis(model, x, k_hat)
 
-    kk._real_axis_samples.cache_clear()
-    monkeypatch.setattr(kk, "eval_real_axis", counted)
+# each relation's integrand at grid point w from (eps_l, eps_t) at x,
+# written out apart from kramers_kronig; weight is the pole weight
+REFERENCE_INTEGRANDS = {
+    "t-real-from-imag": lambda eps, x, w, weight: (
+        x * eps[1].imag / (x * x - w * w)),
+    "t-imag-from-real": lambda eps, x, w, weight: (
+        (eps[1].real + weight / (x * x)) / (x * x - w * w)),
+    "t-imag-axis": lambda eps, x, w, weight: (
+        x * eps[1].imag / (x * x + w * w)),
+    "l-real-from-imag": lambda eps, x, w, weight: (
+        x * eps[0].imag / (x * x - w * w)),
+    "l-imag-from-real": lambda eps, x, w, weight: (
+        eps[0].real / (x * x - w * w)),
+    "l-imag-axis": lambda eps, x, w, weight: (
+        x * eps[0].imag / (x * x + w * w)),
+}
+
+
+@pytest.mark.parametrize("k_hat", [0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
+def test_block_integrals_match_pv_integral(k_hat):
+    # pv_integral, one QUADPACK call per piece and a Python call per
+    # sample, is the slow reference for the block pass of verify_kk
+    model = NonlocalAlt(GOLD)
+    grid = np.geomspace(0.05, 5.0, 13)
+    settings = PVSettings(tol=1e-9)
+    for relation, rel in RELATIONS.items():
+        hints, weight, _ = kk._component_terms(rel.part, GOLD, k_hat, True)
+        got = kk._integrals(rel.kernel, rel.part, model, k_hat, grid, hints,
+                            weight)
+        reference = REFERENCE_INTEGRANDS[relation]
+        for w, value in zip(grid, got):
+            want = pv_integral(
+                lambda x: reference(_python_complex_eps(model, x, k_hat), x,
+                                    w, weight),
+                pole=w if rel.kernel.real_axis else None, settings=settings,
+                lo=0.0, points=hints)
+            assert abs(value - want) <= 1e-8 * max(abs(value), abs(want), 1.0)
+
+
+def test_array_real_axis_matches_scalar_calls_bit_for_bit():
+    omega = np.concatenate([np.geomspace(1e-6, 1e5, 300), [0.035, 1.0]])
+    for model in (Drude(DrudeParams(9.0, 0.035)), Drude(DrudeParams(9.0, 0.0)),
+                  Plasma(9.0), gold_default(), NonlocalAlt(LOSSLESS)):
+        for k_hat in (0.0, 0.3, 5.0):
+            block = eval_real_axis(model, omega, k_hat)
+            scalar = [eval_real_axis(model, float(x), k_hat) for x in omega]
+            assert all(type(v.eps_t) is complex for v in scalar)
+            for part in (0, 1):
+                want = np.array([v[part] for v in scalar])
+                # int64 views compare bits, signed zeros included
+                assert np.array_equal(block[part].view(np.int64),
+                                      want.view(np.int64))
+                python = [_python_complex_eps(model, float(x), k_hat)[part]
+                          for x in omega]
+                assert np.allclose(want, python, rtol=1e-14, atol=0.0)
+    # k_hat broadcasts against omega as well
+    k = np.linspace(0.0, 3.0, 7)
+    block = eval_real_axis(gold_default(), 0.7, k)
+    assert list(block.eps_t) == [eval_real_axis(gold_default(), 0.7, float(x))
+                                 .eps_t for x in k]
+    assert list(block.passive) == [bool(x) for x in
+                                   GOLD.v_t_ratio * k <= GOLD.drude.gamma]
+
+
+def test_array_real_axis_refuses_bad_frequencies():
+    for bad in ([0.5, math.nan], [0.5, 0.0], [-1.0, 2.0], [1.0, math.inf]):
+        with pytest.raises(DomainError):
+            eval_real_axis(gold_default(), np.array(bad), 0.2)
+    with pytest.raises(DomainError):
+        eval_real_axis(gold_default(), np.array([0.5, 1.0]),
+                       np.array([0.2, math.nan]))
+
+
+def test_real_axis_grid_at_the_cutoff_is_rejected():
+    for relation in ("t-real-from-imag", "t-imag-from-real",
+                     "l-real-from-imag", "l-imag-from-real"):
+        for bad in ([1e4], [0.5, 2e4]):
+            with pytest.raises(DomainError, match="cutoff"):
+                verify_kk(relation, GOLD, 0.2, grid=bad)
+    # the imaginary-axis relations have no pole to keep inside the range
+    assert verify_kk("t-imag-axis", GOLD, 0.2, grid=[2e4]).max_residual < 1e-6
+
+
+def test_break_point_next_to_a_grid_point():
+    # gamma = 0.5 lies one ulp from the default grid's 0.49999999999999994,
+    # and 0.1 and 1.0 from the panel edges 10^(j/4) 1e-3
+    params = NonlocalParams(DrudeParams(9.0, 0.5), GOLD.v_t_ratio,
+                            GOLD.v_l_ratio)
     for relation in RELATIONS:
-        verify_kk(relation, GOLD, 0.2)
-    assert len(seen) > 1000
-    assert len(set(seen)) == len(seen)
-
-
-def test_sharing_samples_changes_no_residual_bit(monkeypatch):
-    def residuals(order, fresh):
-        kk._real_axis_samples.cache_clear()
-        reports = {}
-        for relation in order:
-            if fresh:
-                kk._real_axis_samples.cache_clear()
-            reports[relation] = verify_kk(relation, GOLD, 0.2).residuals
-        return reports
-
-    in_order = residuals(list(RELATIONS), fresh=False)
-    assert residuals(list(RELATIONS)[::-1], fresh=False) == in_order
-    assert residuals(list(RELATIONS), fresh=True) == in_order
-
-    class Unshared:
-        """Every lookup evaluated afresh, as with no table at all."""
-
-        def __init__(self, model, k_hat):
-            self.model, self.k_hat = model, k_hat
-
-        def __getitem__(self, x):
-            return eval_real_axis(self.model, x, self.k_hat)
-
-    monkeypatch.setattr(kk, "_real_axis_samples", Unshared)
-    assert {relation: verify_kk(relation, GOLD, 0.2).residuals
-            for relation in RELATIONS} == in_order
+        assert verify_kk(relation, params, 0.2).max_residual < 1e-6
+        near = [np.nextafter(0.1, 0.0), np.nextafter(1.0, 2.0)]
+        assert verify_kk(relation, GOLD, 0.2, grid=near).max_residual < 1e-6
 
 
 def test_imag_axis_relation_far_above_the_resonances():

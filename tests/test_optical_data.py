@@ -63,6 +63,13 @@ def test_parse_rejects_negative_optical_constants():
         assert err.value.line == 2
 
 
+def test_parse_rejects_nonpositive_energies():
+    for first in ("0.0 1.2 9.0", "-0.5 1.2 9.0"):
+        with pytest.raises(ParseError, match="energy must be positive") as err:
+            parse_optical_table(f"# E n k\n{first}\n1.0 0.8 6.5\n")
+        assert err.value.line == 2
+
+
 def test_parse_needs_two_rows():
     with pytest.raises(ParseError):
         parse_optical_table("# nothing but comments\n1.0 0.5 2.0\n")

@@ -46,6 +46,38 @@ def test_fresnel_rejects_zero_frequency():
             nonlocal_coeffs(EpsPair(2.0, 2.0), bad, 1.0)
 
 
+def test_amplitudes_refuse_a_bad_wavevector():
+    for bad in (math.nan, math.inf, -1.0, np.array([0.5, math.nan]),
+                np.array([[0.5], [-0.1]])):
+        with pytest.raises(DomainError, match="k_hat"):
+            fresnel(2.0, 1.0, bad)
+        with pytest.raises(DomainError, match="k_hat"):
+            nonlocal_coeffs(EpsPair(2.0, 2.0), 1.0, bad)
+        with pytest.raises(DomainError, match="k_hat"):
+            reflection_pair(GOLD, 1.0, bad)
+
+
+def test_reflection_pair_scans_its_block_once(monkeypatch):
+    # eval_imag_axis has checked xi and k_hat; the reflection layer must
+    # not scan the 2-d block again
+    import nlcasimir.reflection as reflection
+
+    scanned = []
+    monkeypatch.setattr(reflection, "check_point",
+                        lambda x, k_hat, name="xi": scanned.append(k_hat))
+    monkeypatch.setattr(reflection, "finite_and_positive",
+                        lambda values, allow_zero=False: scanned.append(values)
+                        or True)
+    xi = np.linspace(0.1, 1.0, 4)[:, None]
+    k = np.outer(np.ones(4), np.linspace(0.0, 2.0, 15))
+    expected = nonlocal_coeffs(eval_imag_axis(GOLD, xi, k), xi, k)
+    scanned.clear()
+    r = reflection_pair(GOLD, xi, k)
+    assert scanned == []
+    assert np.array_equal(r.r_tm, expected.r_tm)
+    assert np.array_equal(r.r_te, expected.r_te)
+
+
 @given(xi=st.floats(1e-3, 1e2), k=st.floats(0.0, 1e2))
 @settings(deadline=None)
 def test_zero_velocity_amplitudes_equal_fresnel_bitwise(xi, k):
