@@ -104,6 +104,20 @@ def test_study_scripts_run(tmp_path):
     assert done.returncode == 0, done.stderr
     assert len(parse_csv(sweep.read_text())[2]) == 3
 
+    # 1 K: the long Matsubara sums of all three models
+    done = run_python([str(SCRIPTS / "pressure_sweep.py"), "--temp", "1",
+                       "--points", "3", "--out", str(sweep)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    _, header, rows = parse_csv(sweep.read_text())
+    assert len(rows) == 3
+    col = {name: i for i, name in enumerate(header)}
+    for row in rows:
+        drude = row[col["P_drude_Pa"]]
+        for tag, name in (("nl", "nonlocal"), ("pl", "plasma")):
+            assert math.isclose(row[col[f"ratio_{tag}_drude"]],
+                                row[col[f"P_{name}_Pa"]] / drude,
+                                rel_tol=1e-8)
+
     done = run_python([str(SCRIPTS / "reflectance_study.py"), "--points", "3",
                        "--out-dir", str(tmp_path)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr

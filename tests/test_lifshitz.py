@@ -16,6 +16,7 @@ from nlcasimir import (CONSTANTS, ConvergenceError, CoreTable, DomainError,
                        ideal_metal_pressure_zero_t, interband_im_eps,
                        matsubara_xi, parse_optical_table, pressure_to_pascal,
                        reflection_pair, zero_freq_limit)
+from nlcasimir.lifshitz import _terms_at
 
 from conftest import OPTICAL_TEXT
 
@@ -59,6 +60,18 @@ def quadpack_term(model, a_um, temperature, l):
     return pressure_to_pascal(prefactor) * weight * value
 
 
+def integrated_term(query, l):
+    """Term l in Pa from the tail integrand of the Euler-Maclaurin path:
+    f(y) at y = l dy, the frequency of term l."""
+    a, temperature = query.separation, query.temperature
+    dy = 2.0 * a * matsubara_xi(1, temperature) / CONSTANTS.hbar_c
+    c1 = CONSTANTS.hbar_c / (2.0 * a)
+    (value,), _ = _terms_at(query.model, c1, np.array([l * dy]),
+                            query.quad_tol)
+    prefactor = -CONSTANTS.boltzmann * temperature / (8.0 * math.pi * a**3)
+    return pressure_to_pascal(prefactor) * value
+
+
 def test_ideal_metal_zero_temperature_oracle():
     assert math.isclose(ideal_metal_pressure_zero_t(1.0),
                         -0.0013001260013310095, rel_tol=1e-15)
@@ -74,6 +87,16 @@ def test_perfect_mirrors_cold_limit_reproduces_the_quartic_law():
                         rel_tol=1e-6)
     assert result.terms_used > 1000
     assert result.quad_error_estimate < 1e-6 * abs(result.pressure)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_perfect_mirrors_at_one_kelvin_follow_the_quartic_law(a):
+    # P = -pi^2 hbar c/(240 a^4) (1 + (T/T_eff)^4 / 3), T_eff = hbar c/(2 a
+    # k_B), up to terms exponentially small in T_eff/T ~ 1e3
+    t_eff = CONSTANTS.hbar_c / (2.0 * a * CONSTANTS.boltzmann)
+    want = ideal_metal_pressure_zero_t(a) * (1.0 + (1.0 / t_eff)**4 / 3.0)
+    result = casimir_pressure(PressureQuery(a, 1.0, PerfectReflector()))
+    assert math.isclose(result.pressure, want, rel_tol=1e-10)
 
 
 def test_classical_limit_oracle():
@@ -184,10 +207,62 @@ def test_each_term_matches_a_quadpack_reference(model, temperature):
     query = PressureQuery(1.0, temperature, model)
     result = casimir_pressure(query)
     last = result.terms_used - 1
+    # on the Euler-Maclaurin path the last per_term entry is the integrated
+    # tail; its terms are checked through the tail integrand
+    summed = len(result.per_term)
+    if summed < result.terms_used:
+        summed -= 1
     for l in sorted({0, 1, 2, 10, 100, last}):
         if l <= last:
             want = quadpack_term(model, 1.0, temperature, l)
-            assert result.per_term[l] == pytest.approx(want, rel=query.quad_tol)
+            got = (result.per_term[l] if l < summed
+                   else integrated_term(query, l))
+            assert got == pytest.approx(want, rel=query.quad_tol)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("model", [DRUDE, PLASMA, GOLD, CORED],
+                         ids=["drude", "plasma", "nonlocal", "with-core"])
+def test_integrated_tail_matches_the_direct_sum(model, a, monkeypatch):
+    query = PressureQuery(a, 1.0, model, quad_tol=1e-12, term_tol=1e-15)
+    integrated = casimir_pressure(query)
+    monkeypatch.setattr("nlcasimir.lifshitz._DIRECT_MAX", math.inf)
+    direct = casimir_pressure(query)
+    assert len(integrated.per_term) < len(direct.per_term) == direct.terms_used
+    gap = abs(integrated.pressure - direct.pressure)
+    if model is CORED:
+        # np.interp puts kinks into the core, which the Euler-Maclaurin
+        # identity only holds to within the error estimate
+        assert gap <= integrated.quad_error_estimate
+    else:
+        assert gap <= 1e-11 * abs(direct.pressure)
+
+
+@pytest.mark.parametrize("a, temperature, term_tol",
+                         [(0.1, 300.0, 1e-30), (1.0, 300.0, 1e-300),
+                          (2.0, 1.0, 1e-15)])
+def test_tight_term_tol_costs_no_accuracy(a, temperature, term_tol,
+                                          monkeypatch):
+    # a tight term_tol lengthens the predicted sum; the Euler-Maclaurin
+    # path must still only be taken where it is as accurate as the direct
+    # sum (dy = 0.18, 1.65 and 0.011 here)
+    query = PressureQuery(a, temperature, DRUDE, term_tol=term_tol)
+    result = casimir_pressure(query)
+    monkeypatch.setattr("nlcasimir.lifshitz._DIRECT_MAX", math.inf)
+    direct = casimir_pressure(query)
+    assert abs(result.pressure - direct.pressure) <= min(
+        1e-11 * abs(direct.pressure), result.quad_error_estimate)
+
+
+def test_block_boundaries_change_no_bit(monkeypatch):
+    # each row's quadrature is its own, so blocks of any size and floor
+    # give the same terms; the sums size their blocks from a prediction
+    queries = [PressureQuery(a, t, m) for a, t in ((0.2, 300.0), (1.0, 300.0),
+                                                   (1.0, 1.0))
+               for m in (DRUDE, GOLD, CORED)]
+    sized = [casimir_pressure(q) for q in queries]
+    monkeypatch.setattr("nlcasimir.lifshitz._BLOCK", 5)
+    assert [casimir_pressure(q) for q in queries] == sized
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0])
@@ -199,6 +274,17 @@ def test_error_estimate_covers_the_cold_matsubara_tail(model, a):
     tight = casimir_pressure(PressureQuery(a, 1.0, model, quad_tol=1e-12,
                                            term_tol=1e-15))
     assert abs(result.pressure - tight.pressure) <= result.quad_error_estimate
+
+
+@pytest.mark.parametrize("model", [DRUDE, GOLD], ids=["drude", "nonlocal"])
+def test_cold_error_estimate_tracks_the_errors_reached(model):
+    # the integrated tail's nodes meet quad_tol with room to spare; the
+    # estimate carries their own errors, not quad_tol of the value
+    query = PressureQuery(1.0, 1.0, model)
+    result = casimir_pressure(query)
+    assert len(result.per_term) < result.terms_used
+    assert result.quad_error_estimate < 0.1 * query.quad_tol * abs(
+        result.pressure)
 
 
 @given(a=st.floats(0.5, 7.0), temp=st.floats(1.0, 300.0),
