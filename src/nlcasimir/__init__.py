@@ -14,7 +14,8 @@ from .errors import (ConvergenceError, DomainError, ParseError,
 from .kramers_kronig import (RELATIONS, KKReport, PVSettings, pv_integral,
                              verify_kk)
 from .lifshitz import (PressureQuery, PressureResult, casimir_pressure,
-                       classical_limit_pressure, ideal_metal_pressure_zero_t)
+                       casimir_pressures, classical_limit_pressure,
+                       ideal_metal_pressure_zero_t)
 from .optical_data import (CoreTable, InterbandImEps, OpticalTable,
                            build_core_table, core_imag_axis, drude_im_eps,
                            interband_im_eps, parse_optical_table)
@@ -36,7 +37,8 @@ __all__ = [
     "ConvergenceError", "DomainError", "ParseError", "UnsupportedOperationError",
     "RELATIONS", "KKReport", "PVSettings", "pv_integral", "verify_kk",
     "PressureQuery", "PressureResult", "casimir_pressure",
-    "classical_limit_pressure", "ideal_metal_pressure_zero_t",
+    "casimir_pressures", "classical_limit_pressure",
+    "ideal_metal_pressure_zero_t",
     "CoreTable", "InterbandImEps", "OpticalTable", "build_core_table",
     "core_imag_axis", "drude_im_eps", "interband_im_eps", "parse_optical_table",
     "ImpedancePair", "ReflectanceDeviation", "ReflectionPair",

@@ -10,7 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import gc
+import functools
 import json
 import math
 import sys
@@ -22,7 +22,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .errors import ConvergenceError, DomainError, ParseError
 from .kramers_kronig import RELATIONS, KKReport, verify_kk
-from .lifshitz import PressureQuery, casimir_pressure
+from .lifshitz import PressureQuery, casimir_pressure, casimir_pressures
 from .optical_data import build_core_table, interband_im_eps, parse_optical_table
 from .reflection import reflectance_deviation
 from .response import (Drude, DrudeParams, NonlocalAlt, NonlocalParams,
@@ -34,6 +34,8 @@ _KK_THRESHOLD = 1e-4
 # patched by name in perfbench/tracing.py until it wraps verify_kk (ROADMAP 1)
 verify_kk_real_from_imag_T = verify_kk_imag_from_real_T = None
 verify_kk_imag_axis_T = verify_kk_L = None
+# casimir_pressure is imported only because perfbench/tracing.py patches it
+# by name until it wraps casimir_pressures (ROADMAP 1); no command calls it
 # imaginary-axis grid used when tabulating an interband core
 _CORE_XI_GRID = np.geomspace(1e-3, 1e2, 121)
 
@@ -67,6 +69,7 @@ def _parse_theta(text: str) -> float:
             f"cannot parse angle {text!r}; use radians or append 'deg'") from None
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlcasimir",
@@ -279,11 +282,13 @@ def _cmd_pressure(args, cfg: RunConfig) -> str:
     if with_ratio_pl:
         header.append("ratio_pl_drude")
 
+    # one call per model: its separations share the quadrature passes
+    columns = {n: [r.pressure for r in casimir_pressures(
+        [PressureQuery(float(a), cfg.temperature, models[n]) for a in grid])]
+        for n in names}
     rows = []
-    for a in grid:
-        pressures = {n: casimir_pressure(
-            PressureQuery(float(a), cfg.temperature, models[n])).pressure
-            for n in names}
+    for i, a in enumerate(grid):
+        pressures = {n: columns[n][i] for n in names}
         row = [a] + [pressures[n] for n in names]
         if with_ratio_nl:
             row.append(pressures["nonlocal"] / pressures["drude"])
@@ -300,22 +305,21 @@ def _cmd_gradient(args, cfg: RunConfig) -> str:
     sp = SpherePlateConfig(radius=args.radius, beta=args.beta,
                            delta_sphere=args.delta_s, delta_plate=args.delta_p)
 
-    def pressure(a):
-        return casimir_pressure(
-            PressureQuery(a, cfg.temperature, model)).pressure
-
     if args.expt:
         with open(args.expt, encoding="utf-8") as handle:
-            a_expt, fp_expt, _sigma = parse_experiment_csv(handle.read())
+            seps, fp_expt, _sigma = parse_experiment_csv(handle.read())
         header = ["a_um", "Fprime_theor", "Fprime_expt", "diff"]
-        rows = []
-        for a, fp in zip(a_expt, fp_expt):
-            theor = force_gradient(float(a), sp, pressure)
-            rows.append([a, theor, fp, fp - theor])
     else:
-        grid = _grid(args.a_min, args.a_max, args.points)
+        seps = _grid(args.a_min, args.a_max, args.points)
         header = ["a_um", "Fprime_theor"]
-        rows = [[a, force_gradient(float(a), sp, pressure)] for a in grid]
+    # one call for every separation; force_gradient looks each one up
+    pressures = dict(zip(seps.tolist(), (r.pressure for r in casimir_pressures(
+        [PressureQuery(float(a), cfg.temperature, model) for a in seps]))))
+    theor = [force_gradient(float(a), sp, pressures.__getitem__) for a in seps]
+    if args.expt:
+        rows = [[a, t, fp, fp - t] for a, t, fp in zip(seps, theor, fp_expt)]
+    else:
+        rows = [[a, t] for a, t in zip(seps, theor)]
     meta = {"command": "gradient", "model": args.model,
             "radius_um": _fmt(args.radius), "beta": _fmt(args.beta),
             "delta_s_um": _fmt(args.delta_s), "delta_p_um": _fmt(args.delta_p)}
@@ -389,13 +393,10 @@ def _cmd_kk_verify(args, cfg: RunConfig) -> tuple:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    del parser          # its reference cycles would wait for a full collection
-    gc.collect(1)
 
     exit_code = 0
     try:

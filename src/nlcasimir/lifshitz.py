@@ -13,11 +13,14 @@ sqrt(2 y_l + u^2), c1 = hbar c/(2a), is free of cancellation and the
 nonlocal eps_T (linear in k_hat) has no square-root branch; the static
 term takes zero_freq_limit at k_hat = c1 u^2.
 
-A block of terms goes through the reflection chain in one 2-d pass of
-the G7/K15 quadrature of nlcasimir.quadrature, on seven u-panels per term
-at the start, and rows that miss quad_tol are refined.  Terms accumulate
-in ascending l with compensated summation, so results are bit-identical
-run to run.
+casimir_pressures evaluates many queries of one model together.  Each
+sum asks for its terms a block at a time; the blocks of every sum still
+open are stacked and go through the reflection chain in 2-d passes of the
+G7/K15 quadrature of nlcasimir.quadrature, at most _BLOCK rows per pass
+and seven u-panels per term at the start, and rows that miss quad_tol are
+refined.  No row's quadrature depends on another row, so a query gets the
+same bits alone or in any batch.  Terms accumulate in ascending l with
+compensated summation, so results are bit-identical run to run.
 
 The Gamma(3, y) envelope e^{-y} P(y), P(y) = y^2 + 2y + 2, of the terms
 predicts how many terms the sum takes at term_tol (_direct_length).  That
@@ -64,7 +67,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -79,7 +83,7 @@ SPAN = 50.0                     # width of each term's y-integration window
 
 # panel edges in u; finer near the integrand peak
 _U_EDGES = np.sqrt((0.0, 0.5, 2.0, 5.0, 10.0, 18.0, 30.0, SPAN))
-_BLOCK = 64                     # most Matsubara terms evaluated per vectorized pass
+_BLOCK = 64                     # most term rows in one quadrature pass
 
 _DIRECT_MAX = 400               # longest predicted sum that is summed directly
 _Y0 = 0.5                       # y above which long sums are integrated
@@ -134,38 +138,54 @@ class PressureResult:
 def _summand(y, r):
     """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y."""
     ey = np.exp(-y)
-    total = np.zeros_like(y)
-    for amp in (r.r_tm, r.r_te):
-        w = amp * amp * ey
-        total += w / (1.0 - w)
-    return y * y * total
+    tm, te = (amp * amp * ey for amp in (r.r_tm, r.r_te))
+    return y * y * (tm / (1.0 - tm) + te / (1.0 - te))
 
 
-def _integrate(model, c1, xi, y_lo, quad_tol, floor):
-    """(integrals, errors, converged flags) of the terms xi, y_lo (xi None:
-    the static term, y_lo = 0); rows with |I| + err < floor are not refined."""
+def _integrate(model, quad_tol, c1, xi, y_lo, floor):
+    """(integrals, errors, converged flags) of the terms c1, xi, y_lo (xi
+    None: static terms, y_lo = 0) in passes of at most _BLOCK rows; c1 and
+    floor are scalars or one per row, and rows with |I| + err < floor are
+    not refined."""
+    n = len(y_lo)
+    c1, floor = np.full(n, c1), np.full(n, floor)
+    if n > _BLOCK:
+        parts = [_integrate(model, quad_tol, c1[b],
+                            None if xi is None else xi[b], y_lo[b], floor[b])
+                 for b in map(slice, range(0, n, _BLOCK),
+                              range(_BLOCK, n + _BLOCK, _BLOCK))]
+        return tuple(map(np.concatenate, zip(*parts)))
+
     def u_integrand(rows, u):
         y0 = y_lo[rows][:, None]
+        k = c1[rows][:, None] * u
+        uu = u * u
         if xi is None:
-            pair = zero_freq_limit(model, c1 * u * u)
+            pair = zero_freq_limit(model, k * u)
         else:
             pair = reflection_pair(model, xi[rows][:, None],
-                                   c1 * u * np.sqrt(2.0 * y0 + u * u))
-        return 2.0 * u * _summand(y0 + u * u, pair)
+                                   k * np.sqrt(2.0 * y0 + uu))
+        return 2.0 * u * _summand(y0 + uu, pair)
 
-    edges = np.broadcast_to(_U_EDGES, (len(y_lo), len(_U_EDGES)))
+    # a copy: the view np.broadcast_to makes costs about 3 us more a pass
+    edges = _U_EDGES[None, :].repeat(n, axis=0)
     return integrate(u_integrand, edges, quad_tol, floor=floor)
+
+
+def _checked(values, errors, converged, quad_tol):
+    """(values, errors) as lists; ConvergenceError with an estimate if a
+    row stalled."""
+    if not converged.all():
+        raise ConvergenceError(
+            f"wavevector quadrature stalled above tolerance {quad_tol}",
+            last_estimate=float(values[~converged][0]))
+    return values.tolist(), errors.tolist()
 
 
 def _refined(model, c1, xi, y_lo, quad_tol):
     """(integrals, errors) as lists, each term to quad_tol; ConvergenceError
     with an estimate if one stalls."""
-    values, errors, ok = _integrate(model, c1, xi, y_lo, quad_tol, 0.0)
-    if not ok.all():
-        raise ConvergenceError(
-            f"wavevector quadrature stalled above tolerance {quad_tol}",
-            last_estimate=float(values[~ok][0]))
-    return values.tolist(), errors.tolist()
+    return _checked(*_integrate(model, quad_tol, c1, xi, y_lo, 0.0), quad_tol)
 
 
 def _terms_at(model, c1, y, quad_tol):
@@ -250,15 +270,18 @@ def _direct_length(dy, term_tol):
     return y / dy
 
 
-def casimir_pressure(query: PressureQuery) -> PressureResult:
-    """Evaluate the pressure sum for the query's model.
+def _matsubara_sum(query):
+    """The pressure sum of one query, as a generator.
 
-    The l = 0 term carries weight 1/2 and uses the analytic static
-    reflection limits.  A sum predicted to be short, or on a coarse
-    Matsubara step, stops once a term falls below term_tol of the
-    accumulated total, and the truncated Matsubara tail is bounded by
-    _matsubara_tail; a long one integrates its terms l >= l0 (see the
-    module docstring).  Either bound is folded into quad_error_estimate.
+    It yields each block of terms it needs as (c1, xi, y_lo, floor), xi
+    None for the static term, is sent (integrals, errors, converged) of
+    those rows, and returns the PressureResult.  The l = 0 term carries
+    weight 1/2 and uses the analytic static reflection limits.  A sum
+    predicted to be short, or on a coarse Matsubara step, stops once a
+    term falls below term_tol of the accumulated total, and the truncated
+    Matsubara tail is bounded by _matsubara_tail; a long one integrates
+    its terms l >= l0 (see the module docstring).  Either bound is folded
+    into quad_error_estimate.
     """
     a = query.separation
     temp = query.temperature
@@ -283,7 +306,8 @@ def casimir_pressure(query: PressureQuery) -> PressureResult:
         l0 = None
         rows = math.ceil(predicted) + 4
 
-    (integral0,), (err0,) = _refined(model, c1, None, np.zeros(1), quad_tol)
+    (integral0,), (err0,) = _checked(*(yield c1, None, np.zeros(1), 0.0),
+                                     quad_tol)
     term = 0.5 * integral0
     acc = term
     comp = 0.0          # Kahan compensation
@@ -302,8 +326,7 @@ def casimir_pressure(query: PressureQuery) -> PressureResult:
             xi = xi_1 * np.arange(start, end + 1)
             y_lo = scale * xi
             floor = 0.0 if l0 else query.term_tol * abs(acc)
-            integrals, errors, converged = _integrate(
-                model, c1, xi, y_lo, quad_tol, floor)
+            integrals, errors, converged = yield c1, xi, y_lo, floor
         j = l - start
         term, err = float(integrals[j]), float(errors[j])
         if not converged[j]:
@@ -358,6 +381,66 @@ def casimir_pressure(query: PressureQuery) -> PressureResult:
         quad_error_estimate=unit * quad_err,
         per_term=tuple(
             (pressure_to_pascal(prefactor) * np.array(raw_terms)).tolist()))
+
+
+def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
+    """The PressureResults of queries that share one model object and one
+    quad_tol, in input order.
+
+    Each sum is taken as _matsubara_sum describes, and the terms of all of
+    them go through the wavevector quadrature together: first every static
+    term, then rounds in which each sum still open adds its next block.
+    The rows of a round are integrated in passes of at most _BLOCK rows.
+    Rows are independent, so each result has the bits of its query
+    evaluated alone.  Where queries fail, the error of the first failing
+    one in input order is raised; queries with different models or
+    quad_tol raise DomainError.
+    """
+    queries = list(queries)
+    if not queries:
+        return []
+    model, quad_tol = queries[0].model, queries[0].quad_tol
+    if any(q.model is not model or q.quad_tol != quad_tol for q in queries):
+        raise DomainError("the queries of one call must share one model "
+                          "object and one quad_tol")
+    sums = [_matsubara_sum(q) for q in queries]
+    results = [None] * len(sums)
+    error = None
+    sent = dict.fromkeys(range(len(sums)))  # open sums -> what they are sent
+    while sent:
+        blocks = {}
+        # in ascending order; a failure drops every later sum, so the
+        # error kept is that of the first failing query
+        for i, rows in sent.items():
+            try:
+                blocks[i] = sums[i].send(rows)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except (ConvergenceError, DomainError) as exc:
+                error = exc
+                break
+        if not blocks:
+            break
+        if len(blocks) == 1:    # skips about 10 us of stacking a round
+            (i, block), = blocks.items()
+            sent = {i: _integrate(model, quad_tol, *block)}
+            continue
+        c1, xi, y_lo, floor = zip(*blocks.values())
+        sizes = [len(y) for y in y_lo]
+        integrals = _integrate(
+            model, quad_tol, np.array(c1).repeat(sizes),
+            None if xi[0] is None else np.concatenate(xi),
+            np.concatenate(y_lo), np.array(floor).repeat(sizes))
+        sent = {i: tuple(r[end - size:end] for r in integrals)
+                for i, end, size in zip(blocks, accumulate(sizes), sizes)}
+    if error is not None:
+        raise error
+    return results
+
+
+def casimir_pressure(query: PressureQuery) -> PressureResult:
+    """The pressure of one query: casimir_pressures of a one-query list."""
+    return casimir_pressures([query])[0]
 
 
 def classical_limit_pressure(a_um, temperature, te_zero_weight=0.0):

@@ -39,9 +39,9 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324, floor=0.0):
     while it misses and |I| + err >= floor."""
     n, m = edges.shape
     span = edges[:, -1] - edges[:, 0]
-    new = (np.repeat(np.arange(n), m - 1),
-           edges[:, :-1].ravel(), edges[:, 1:].ravel())
-    new = tuple(x[new[2] > new[1]] for x in new)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    keep = hi > lo
+    new = (np.repeat(np.arange(n), m - 1)[keep], lo[keep], hi[keep])
     kept = (np.empty(0, int),) + (np.empty(0),) * 4
     while True:
         # K15 values and |K15 - G7| errors of the new panels

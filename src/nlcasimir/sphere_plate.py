@@ -48,8 +48,9 @@ def force_gradient(a_um: float, config: SpherePlateConfig,
     past 0.1 or the roughness correction passes 0.5, where the leading
     corrections stop being trustworthy.
     """
-    if a_um <= 0.0:
-        raise DomainError(f"separation must be positive, got {a_um}")
+    if not 0.0 < a_um < math.inf:                  # NaN fails too
+        raise DomainError(f"separation must be finite and positive, "
+                          f"got {a_um}")
     r = config.radius
     if a_um / r > 0.1:
         warnings.warn(f"a/R = {a_um / r:.3g} is outside the proximity-force "

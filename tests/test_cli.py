@@ -14,8 +14,9 @@ import pytest
 import nlcasimir
 from nlcasimir import (RELATIONS, Drude, NonlocalAlt, PressureQuery,
                        SpherePlateConfig, WithCore, build_core_table,
-                       casimir_pressure, eval_imag_axis, force_gradient,
-                       gold_default, interband_im_eps, parse_optical_table)
+                       casimir_pressure, casimir_pressures, eval_imag_axis,
+                       force_gradient, gold_default, interband_im_eps,
+                       parse_optical_table)
 from nlcasimir.cli import run
 
 from conftest import OPTICAL_TEXT
@@ -142,8 +143,36 @@ def test_perfbench_tracer_changes_no_output_byte(capsys):
         traced = [run_cli(capsys, argv) for argv in commands]
     assert traced == plain
     assert plain[0][0] == 0 and plain[1][0] == 0
-    assert tracer.calls["lifshitz"] == 3          # drude, nonlocal, plasma
+    # the tracer's lifshitz span wraps cli.casimir_pressure, which the CLI
+    # no longer calls; the static and block passes of the three models
+    # still reach the reflection layer
+    assert tracer.calls["reflection.zero_freq"] >= 3
+    assert tracer.calls["reflection.block"] >= 3
     assert tracer.counts["response.real_points"] > 0
+
+
+def test_a_pressure_sweep_makes_one_call_per_model(capsys, monkeypatch):
+    calls = []
+
+    def counted(queries):
+        calls.append(len(queries))
+        return casimir_pressures(queries)
+
+    monkeypatch.setattr(nlcasimir.cli, "casimir_pressures", counted)
+    code, _, _ = run_cli(capsys, ["pressure", "--a-min", "1", "--a-max", "2",
+                                  "--points", "1"])
+    assert code == 0
+    assert calls == [1, 1, 1]
+
+
+def test_repeated_calls_in_one_process_behave_alike(capsys):
+    # the argument parser is built once and kept
+    commands = (["pressure", "--a-min", "2", "--a-max", "1", "--bogus"],
+                ["--help"],
+                ["pressure", "--a-min", "1", "--a-max", "1", "--points", "1"])
+    first = [run_cli(capsys, argv) for argv in commands]
+    assert [run_cli(capsys, argv) for argv in commands] == first
+    assert [code for code, _, _ in first] == [2, 0, 0]
 
 
 def test_json_payload_shape(capsys):

@@ -12,11 +12,13 @@ from nlcasimir import (CONSTANTS, ConvergenceError, CoreTable, DomainError,
                        Drude, DrudeParams, NonlocalAlt, NonlocalParams,
                        PerfectReflector, Plasma, PressureQuery, ReflectionPair,
                        WithCore, build_core_table, casimir_pressure,
-                       classical_limit_pressure, gold_default,
+                       casimir_pressures, classical_limit_pressure,
+                       gold_default,
                        ideal_metal_pressure_zero_t, interband_im_eps,
                        matsubara_xi, parse_optical_table, pressure_to_pascal,
                        reflection_pair, zero_freq_limit)
-from nlcasimir.lifshitz import _terms_at
+from nlcasimir import lifshitz
+from nlcasimir.lifshitz import _BLOCK, _terms_at
 
 from conftest import OPTICAL_TEXT
 
@@ -326,3 +328,79 @@ def test_model_ordering_over_separations_and_temperatures(a, temp):
     p_d, p_nl, p_pl = (casimir_pressure(PressureQuery(a, temp, m)).pressure
                        for m in (DRUDE, GOLD, PLASMA))
     assert abs(p_d) <= abs(p_nl) <= abs(p_pl)
+
+
+# the queries of the room_sweep and cold_local benchmarks: 300 K sums of
+# about 12 terms, and 1 K sums on the Euler-Maclaurin path
+ROOM_GRID = np.linspace(0.2, 7.0, 100).tolist()
+COLD_GRID = np.linspace(0.5, 3.0, 30).tolist()
+
+
+@pytest.mark.parametrize("model, temperature, grid", [
+    (DRUDE, 300.0, ROOM_GRID), (GOLD, 300.0, ROOM_GRID),
+    (PLASMA, 300.0, ROOM_GRID),
+    # sums longer than one block, so several rounds
+    (DRUDE, 300.0, [0.02, 0.05, 0.1]), (GOLD, 300.0, [0.02, 0.05, 0.1]),
+    (DRUDE, 1.0, COLD_GRID), (PLASMA, 1.0, COLD_GRID),
+    # the 1 K grid reaches the direct path from 10.5 um on
+    (CORED, 300.0, [0.1, 0.5, 1.0, 3.0]), (CORED, 1.0, [0.5, 2.0, 11.0]),
+], ids=["room-drude", "room-nonlocal", "room-plasma", "small-a-drude",
+        "small-a-nonlocal", "cold-drude", "cold-plasma", "cored-300K",
+        "cored-1K"])
+def test_a_batch_has_the_bits_of_single_queries(model, temperature, grid):
+    queries = [PressureQuery(a, temperature, model) for a in grid]
+    assert casimir_pressures(queries) == [casimir_pressure(q) for q in queries]
+
+
+def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
+    passes = []
+
+    def recording(f, edges, *args, **kwargs):
+        passes.append(edges.shape[0])
+        return integrate(f, edges, *args, **kwargs)
+
+    integrate = lifshitz.integrate
+    monkeypatch.setattr(lifshitz, "integrate", recording)
+    for model, temperature, grid in ((GOLD, 300.0, ROOM_GRID),
+                                     (PLASMA, 1.0, COLD_GRID),
+                                     (CORED, 1.0, [0.5, 1.0])):
+        casimir_pressures([PressureQuery(a, temperature, model)
+                           for a in grid])
+    assert max(passes) == _BLOCK
+
+
+def test_a_batch_shares_one_model_and_one_quad_tol():
+    with pytest.raises(DomainError):
+        casimir_pressures([PressureQuery(1.0, 300.0, DRUDE),
+                           PressureQuery(1.0, 300.0, PLASMA)])
+    with pytest.raises(DomainError):
+        casimir_pressures([PressureQuery(1.0, 300.0, DRUDE),
+                           PressureQuery(2.0, 300.0, DRUDE, quad_tol=1e-10)])
+    assert casimir_pressures([]) == []
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_query(monkeypatch):
+    # query 2 stalls on its static term in the first pass; query 1, before
+    # it, stalls on its first Matsubara term two passes later
+    stalled = {}
+
+    def stalling(f, edges, *args, **kwargs):
+        values, errors, ok = integrate(f, edges, *args, **kwargs)
+        n = len(stalled)
+        if n == 0:                  # the static terms of queries 0, 1, 2
+            ok[2] = False
+        elif n == 1:                # the blocks of queries 0 and 1, alike
+            ok[edges.shape[0] // 2] = False
+        elif n == 2:                # query 1 refines its l = 1 row alone
+            ok[0] = False
+        stalled[n] = float(values[2 if n == 0 else 0])
+        return values, errors, ok
+
+    integrate = lifshitz.integrate
+    monkeypatch.setattr(lifshitz, "integrate", stalling)
+    queries = [PressureQuery(1.0, 300.0, DRUDE),
+               PressureQuery(1.0, 300.0, DRUDE),
+               PressureQuery(2.0, 300.0, DRUDE)]
+    with pytest.raises(ConvergenceError) as err:
+        casimir_pressures(queries)
+    assert err.value.last_estimate == stalled[2] != stalled[0]

@@ -83,6 +83,16 @@ def test_gradient_domain_validation():
             SpherePlateConfig(radius=50.0, delta_plate=bad)
 
 
+def test_non_finite_separations_are_refused_before_any_pressure():
+    def pressure(a):
+        raise AssertionError(f"pressure called at a = {a}")
+
+    cfg = SpherePlateConfig(radius=50.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            force_gradient(bad, cfg, pressure)
+
+
 def test_parse_experiment_rows():
     text = """\
 # gradient scan, run 12
