@@ -10,10 +10,12 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -235,7 +237,9 @@ def _emit_table(cfg: RunConfig, meta: dict, header: List[str],
 def _grid(lo: float, hi: float, points: int) -> np.ndarray:
     if points < 1:
         raise DomainError(f"points must be >= 1, got {points}")
-    if not lo > 0.0:                                # NaN fails too
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"range bounds must be finite, got [{lo}, {hi}]")
+    if not lo > 0.0:
         raise DomainError(f"the range must start above 0, got {lo}")
     if lo > hi:
         raise DomainError(f"empty range [{lo}, {hi}]")
@@ -392,6 +396,21 @@ def _cmd_kk_verify(args, cfg: RunConfig) -> tuple:
     return text, failed
 
 
+@contextlib.contextmanager
+def _warnings_printed():
+    """Print each warning the block raises as a 'warning:' line on stderr.
+
+    Every run prints its own: the default filter would show a message
+    once per process, and only to the first run that raised it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for caught_warning in caught:
+                print(f"warning: {caught_warning.message}", file=sys.stderr)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -400,23 +419,24 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
     exit_code = 0
     try:
-        cfg = _config(args)
-        if args.command == "epsilon":
-            text = _cmd_epsilon(args, cfg)
-        elif args.command == "pressure":
-            text = _cmd_pressure(args, cfg)
-        elif args.command == "gradient":
-            text = _cmd_gradient(args, cfg)
-        elif args.command == "reflectance":
-            text = _cmd_reflectance(args, cfg)
-        elif args.command == "kk-verify":
-            text, failed = _cmd_kk_verify(args, cfg)
-            if failed:
-                print(f"kk-verify: at least one max_residual exceeds "
-                      f"{_KK_THRESHOLD:g}", file=sys.stderr)
-                exit_code = 1
-        else:  # pragma: no cover - argparse enforces the choices
-            raise DomainError(f"unknown command {args.command!r}")
+        with _warnings_printed():
+            cfg = _config(args)
+            if args.command == "epsilon":
+                text = _cmd_epsilon(args, cfg)
+            elif args.command == "pressure":
+                text = _cmd_pressure(args, cfg)
+            elif args.command == "gradient":
+                text = _cmd_gradient(args, cfg)
+            elif args.command == "reflectance":
+                text = _cmd_reflectance(args, cfg)
+            elif args.command == "kk-verify":
+                text, failed = _cmd_kk_verify(args, cfg)
+                if failed:
+                    print(f"kk-verify: at least one max_residual exceeds "
+                          f"{_KK_THRESHOLD:g}", file=sys.stderr)
+                    exit_code = 1
+            else:  # pragma: no cover - argparse enforces the choices
+                raise DomainError(f"unknown command {args.command!r}")
     except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,10 +46,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate
+from .quadrature import integrate, quad
 from .response import (FOUR_PI, NonlocalAlt, NonlocalParams, eval_imag_axis,
                        eval_real_axis, static_transverse_conductivity)
 

@@ -5,6 +5,10 @@ of all rows go through the integrand in one 2-d pass: K15 is the value,
 |K15 - G7| the error estimate.  In a row that misses its tolerance, each
 panel whose error exceeds its width's share of it is bisected, all rows
 at once in another pass, until the row meets it or has _MAX_PANELS panels.
+
+quad is scipy's QUADPACK integrator, which only the reference paths
+(pv_integral, impedance_numeric) call; it imports scipy on its first call,
+because scipy.integrate takes most of the package's import time.
 """
 
 from __future__ import annotations
@@ -66,3 +70,9 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324, floor=0.0):
                np.column_stack([lo[split], mid]).ravel(),
                np.column_stack([mid, hi[split]]).ravel())
         kept = tuple(x[~split] for x in (rows, lo, hi, val, err))
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad(*args, **kwargs), importing scipy on first use."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)

@@ -23,9 +23,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
+from .quadrature import quad
 from .response import (Drude, EpsPair, NonlocalAlt, PerfectReflector, Plasma,
                        ResponseModel, WithCore, check_point, eval_imag_axis,
                        eval_real_axis, finite_and_positive)

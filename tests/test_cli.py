@@ -89,6 +89,79 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.stdout == want.encode()
 
 
+# imports nlcasimir, then runs the CLI commands of argv[1] (a JSON list)
+# with every scipy import refused and prints [exit code, stdout] of each
+WITHOUT_SCIPY = """\
+import contextlib, io, json, sys
+import nlcasimir.cli
+loaded = "scipy" in sys.modules
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([nlcasimir.cli.run(argv), out.getvalue()])
+try:
+    import scipy
+    blocked = False
+except ImportError:
+    blocked = True
+print(json.dumps({"loaded": loaded, "blocked": blocked, "results": results}))
+"""
+
+
+def test_every_command_runs_without_scipy(capsys, tmp_path):
+    # scipy serves only the QUADPACK reference paths, so no command needs it
+    expt = tmp_path / "expt.csv"
+    expt.write_text(EXPT_TEXT)
+    commands = [["epsilon", "--points", "3"],
+                ["pressure", "--a-min", "1", "--a-max", "2", "--points", "2"],
+                ["pressure", "--a-min", "1", "--a-max", "2", "--points", "2",
+                 "--temp", "1"],
+                ["gradient", "--model", "drude", "--radius", "50",
+                 "--expt", str(expt)],
+                ["reflectance", "--theta", "45deg", "--points", "3"],
+                ["kk-verify", "--relations", "all"]]
+    done = run_python(["-c", WITHOUT_SCIPY, json.dumps(commands)])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["blocked"] and not report["loaded"]
+    want = [list(run_cli(capsys, argv)[:2]) for argv in commands]
+    assert report["results"] == want
+    assert [code for code, _ in want] == [0, 0, 0, 0, 0, 1]
+
+
+def test_gradient_warns_on_every_run_in_one_process(capsys):
+    # a fresh interpreter, so that the warnings module's own filters act
+    # and not the test runner's warning capture
+    argv = ["gradient", "--radius", "5", "--model", "drude", "--points", "2"]
+    done = run_python(["-c", f"""\
+import contextlib, io, json
+from nlcasimir.cli import run
+runs = []
+for _ in range(2):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        runs.append([run({argv!r}), out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""])
+    assert done.returncode == 0, done.stderr
+    first, second = json.loads(done.stdout)
+    assert second == first
+    code, out, err = first
+    assert [code, out] == list(run_cli(capsys, argv)[:2])
+    assert err.splitlines() == [
+        f"warning: a/R = {ratio} is outside the proximity-force regime; "
+        "the beta correction is only the leading term"
+        for ratio in ("0.12", "0.4")]
+
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -432,6 +505,20 @@ def test_parameter_overrides_reach_the_model(capsys):
     want = 1.0 + 8.0**2 / (0.5 * (0.5 + 0.02))
     assert math.isclose(rows[0][1], want, rel_tol=1e-8)
     assert math.isclose(rows[0][2], want, rel_tol=1e-8)
+
+
+@pytest.mark.parametrize("argv, bounds", [
+    (["pressure", "--a-min", "1", "--a-max", "inf", "--points", "2"],
+     "[1.0, inf]"),
+    (["epsilon", "--omega-max", "nan"], "[0.1, nan]"),
+    (["gradient", "--radius", "50", "--a-max", "inf"], "[0.6, inf]"),
+    (["reflectance", "--theta", "0.5", "--omega-max", "nan"], "[0.1, nan]"),
+])
+def test_non_finite_range_bounds_are_refused_where_they_enter(capsys, argv,
+                                                              bounds):
+    # one error line: no numpy warning from a grid built on an inf bound
+    assert run_cli(capsys, argv) == (
+        2, "", f"error: range bounds must be finite, got {bounds}\n")
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
