@@ -18,8 +18,10 @@ sum asks for its terms a block at a time; the blocks of every sum still
 open are stacked and go through the reflection chain in 2-d passes of the
 G7/K15 quadrature of nlcasimir.quadrature, at most _BLOCK rows per pass
 and seven u-panels per term at the start, and rows that miss quad_tol are
-refined.  No row's quadrature depends on another row, so a query gets the
-same bits alone or in any batch.  Terms accumulate in ascending l with
+refined.  The tail integrals of all long sums (below) wait until no sum
+has terms left, and their nodes then share those passes too.  No row's
+quadrature depends on another row, so a query gets the same bits alone
+or in any batch.  Terms accumulate in ascending l with
 compensated summation, so results are bit-identical run to run.
 
 The Gamma(3, y) envelope e^{-y} P(y), P(y) = y^2 + 2y + 2, of the terms
@@ -45,8 +47,8 @@ pick one of two paths, and the prediction sizes the blocks:
   Casimir Effect, OUP 2009).  Delta is the forward difference of step dy,
   taken from the eight terms l0..l0+7, and G_k are the Gregory
   coefficients.  f(y) at a continuous y is the term integral at
-  xi = c1 y.  The y-integral is one G7/K15 pass on _TAIL_PANELS
-  geometric panels; e^{-45} ~ 3e-20 puts its cut below double precision.
+  xi = c1 y.  The y-integral is G7/K15 on _TAIL_PANELS = 7 geometric
+  panels; e^{-45} ~ 3e-20 puts its cut below double precision.
   The error budget adds the |K15 - G7| of the summed terms, those of the
   eight difference terms times their Gregory weights, the y-integral's
   |K15 - G7| plus the most its nodes' own errors can add, over dy, and
@@ -88,7 +90,7 @@ _BLOCK = 64                     # most term rows in one quadrature pass
 _DIRECT_MAX = 400               # longest predicted sum that is summed directly
 _Y0 = 0.5                       # y above which long sums are integrated
 _TAIL_SPAN = 45.0               # width in y of the tail integral
-_TAIL_PANELS = 12               # its geometric y-panels
+_TAIL_PANELS = 7                # its geometric y-panels
 _KINK_STEP = 1e-3               # y-step of the stencil that measures a kink
 # Gregory coefficients G_1..G_6 of Delta^1..Delta^6 f(y0)
 _GREGORY = (-1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
@@ -99,6 +101,9 @@ _GREGORY_WEIGHTS = 0.5 * _DELTA[0] + np.array(_GREGORY) @ _DELTA[1:7]
 
 @dataclass(frozen=True)
 class PressureQuery:
+    """One pressure.  a^3, xi_1 = 2 pi k_B T, dy^3 and (1 - e^{-dy})^3, dy =
+    2 a xi_1/(hbar c), must be finite normal doubles, or DomainError: a in
+    [2.82e-103, 5.64e102] um and a T in [5.13e-101, 1.02e105] um K."""
     separation: float          # um
     temperature: float         # K
     model: ResponseModel
@@ -111,6 +116,13 @@ class PressureQuery:
             raise DomainError(f"separation must be finite and positive, got {self.separation}")
         if not 0.0 < self.temperature < math.inf:
             raise DomainError(f"temperature must be finite and positive, got {self.temperature}")
+        a, temp = self.separation, self.temperature
+        xi_1 = matsubara_xi(1, temp)
+        dy = 2.0 * a * xi_1 / CONSTANTS.hbar_c
+        if not all(2.0**-1022 <= x < math.inf for x in
+                   (a * a * a, xi_1, dy * dy * dy, (-math.expm1(-dy)) ** 3)):
+            raise DomainError(f"a = {a} um, T = {temp} K lie outside the "
+                              "range double arithmetic can sum")
         for name, tol in (("quad_tol", self.quad_tol), ("term_tol", self.term_tol)):
             if not 0.0 < tol <= 1e-3:
                 raise DomainError(f"{name} must lie in (0, 1e-3], got {tol}")
@@ -195,7 +207,9 @@ def _terms_at(model, c1, y, quad_tol):
 
 
 def _tail_integral(model, c1, y0, dy, quad_tol):
-    """((1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy, its error bound, converged).
+    """((1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy, its error bound,
+    converged), as a generator: it yields (c1, edges) and is sent its row
+    of _tail_rows, which integrates the tails of a whole batch together.
 
     The bound takes |K15 - G7| and what the nodes' own errors can add:
     f >= 0 and the K15 weights are positive, so at most the largest
@@ -209,22 +223,13 @@ def _tail_integral(model, c1, y0, dy, quad_tol):
         np.arange(_TAIL_PANELS + 1) / _TAIL_PANELS)
     kinks = np.empty(0)
     if isinstance(model, WithCore):
+        # every core node, clipped to the span: one width for every c1
         kinks = model.core.xi_grid / c1
+        edges = np.sort(np.concatenate([edges, kinks.clip(y0, edges[-1])]))
         kinks = kinks[(kinks > y0) & (kinks < edges[-1])]
-        edges = np.union1d(edges, kinks)
 
-    ratio = 0.0         # largest error/f over the nodes
-
-    def f(rows, y):
-        nonlocal ratio
-        values, errors = _terms_at(model, c1, y.ravel(), quad_tol)
-        # values == 0 only where the integrand vanishes, and its error too
-        ratio = max(ratio, float(np.max(np.divide(
-            errors, values, out=np.zeros_like(errors), where=values > 0))))
-        return values.reshape(y.shape)
-
-    (value,), (err,), (ok,) = integrate(f, edges[None, :], quad_tol)
-    bound = (float(err) + ratio * float(value)) / dy
+    value, err, ok, ratio = yield c1, edges
+    bound = (err + ratio * value) / dy
     if len(kinks):
         # J from five points around each kink, exact for a cubic plus
         # J (y - kink)_+
@@ -233,7 +238,30 @@ def _tail_integral(model, c1, y0, dy, quad_tol):
         jump = np.abs(fy @ (1.0, -4.0, 6.0, -4.0, 1.0)) / (2.0 * _KINK_STEP)
         share = np.where(kinks > y0 + 7.0 * dy, 1.0 / 12.0, 0.25)
         bound += dy * float(share @ jump)
-    return float(value) / dy, bound, bool(ok)
+    return value / dy, bound, ok
+
+
+def _tail_rows(model, quad_tol, requests):
+    """(int f dy, |K15 - G7|, converged, largest error/f over the nodes)
+    of the tail integrals requests (c1, edges), one integrate row each; a
+    row with a stalled node has not converged.  The nodes of all rows are
+    the terms of one _integrate, so its passes are shared by all rows."""
+    c1, edges = map(np.array, zip(*requests))
+    ratio, stalled = np.zeros(len(c1)), np.zeros(len(c1), bool)
+
+    def f(rows, y):
+        nodes = rows.repeat(y.shape[1])
+        values, errors, converged = _integrate(
+            model, quad_tol, c1[nodes], c1[nodes] * y.ravel(), y.ravel(), 0.0)
+        # values == 0 only where the integrand vanishes, and its error too
+        np.maximum.at(ratio, nodes, np.divide(
+            errors, values, out=np.zeros_like(errors), where=values > 0))
+        stalled[nodes[~converged]] = True
+        return values.reshape(y.shape)
+
+    values, errors, converged = integrate(f, edges, quad_tol)
+    return zip(values.tolist(), errors.tolist(),
+               (converged & ~stalled).tolist(), ratio.tolist())
 
 
 def _matsubara_tail(term, y_last, dy):
@@ -275,7 +303,8 @@ def _matsubara_sum(query):
 
     It yields each block of terms it needs as (c1, xi, y_lo, floor), xi
     None for the static term, is sent (integrals, errors, converged) of
-    those rows, and returns the PressureResult.  The l = 0 term carries
+    those rows, yields a long sum's tail as _tail_integral does, and
+    returns the PressureResult.  The l = 0 term carries
     weight 1/2 and uses the analytic static reflection limits.  A sum
     predicted to be short, or on a coarse Matsubara step, stops once a
     term falls below term_tol of the accumulated total, and the truncated
@@ -360,8 +389,8 @@ def _matsubara_sum(query):
     unit = abs(pressure_to_pascal(prefactor))
     if l0:
         f, f_err = np.array(ends).T
-        integral, integral_err, ok = _tail_integral(model, c1, l0 * dy, dy,
-                                                    quad_tol)
+        integral, integral_err, ok = yield from _tail_integral(
+            model, c1, l0 * dy, dy, quad_tol)
         tail = integral + float(_GREGORY_WEIGHTS @ f)
         acc += tail - comp          # the last compensated step
         raw_terms.append(tail)
@@ -389,7 +418,8 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
 
     Each sum is taken as _matsubara_sum describes, and the terms of all of
     them go through the wavevector quadrature together: first every static
-    term, then rounds in which each sum still open adds its next block.
+    term, then rounds in which each sum still open adds its next block,
+    and last one round of every tail integral, one integrate row each.
     The rows of a round are integrated in passes of at most _BLOCK rows.
     Rows are independent, so each result has the bits of its query
     evaluated alone.  Where queries fail, the error of the first failing
@@ -407,23 +437,25 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     results = [None] * len(sums)
     error = None
     sent = dict.fromkeys(range(len(sums)))  # open sums -> what they are sent
+    tails = {}          # sums waiting for their tail integral -> (c1, edges)
     while sent:
         blocks = {}
         # in ascending order; a failure drops every later sum, so the
         # error kept is that of the first failing query
         for i, rows in sent.items():
             try:
-                blocks[i] = sums[i].send(rows)
+                block = sums[i].send(rows)
             except StopIteration as stop:
                 results[i] = stop.value
+                continue
             except (ConvergenceError, DomainError) as exc:
-                error = exc
+                error, tails = exc, {j: t for j, t in tails.items() if j < i}
                 break
-        if not blocks:
-            break
-        if len(blocks) == 1:    # skips about 10 us of stacking a round
-            (i, block), = blocks.items()
-            sent = {i: _integrate(model, quad_tol, *block)}
+            (tails if len(block) == 2 else blocks)[i] = block
+        if not blocks:      # tails wait until no sum has terms left
+            order = sorted(tails)[:_BLOCK]
+            sent = dict(zip(order, _tail_rows(model, quad_tol, [
+                tails.pop(i) for i in order]))) if order else {}
             continue
         c1, xi, y_lo, floor = zip(*blocks.values())
         sizes = [len(y) for y in y_lo]

@@ -536,7 +536,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["epsilon", "--kperp", "nan"],
                  ["epsilon", "--gamma", "nan"],
                  ["epsilon", "--omega-p", "inf"],
-                 ["kk-verify", "--kperp", "nan"]):
+                 ["kk-verify", "--kperp", "nan"],
+                 # so are (a, T) that double arithmetic cannot sum
+                 *(["pressure", "--models", "drude", "--points", "1",
+                    "--a-min", a, "--a-max", a, "--temp", t]
+                   for a, t in (("1e-120", "300"), ("1e200", "300"),
+                                ("1", "1e-300"), ("1", "1e300")))):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err

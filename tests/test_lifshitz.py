@@ -186,6 +186,11 @@ def test_query_validation():
         PressureQuery(1.0, 300.0, GOLD, quad_tol=0.0)
     with pytest.raises(DomainError):
         PressureQuery(1.0, 300.0, GOLD, term_tol=1.0)
+    # a^3, xi_1, dy^3 or (1 - e^{-dy})^3 would leave the normal doubles
+    for a, temp in ((1e-120, 300.0), (1e200, 300.0), (1.0, 1e-300),
+                    (1.0, 1e300)):
+        with pytest.raises(DomainError):
+            PressureQuery(a, temp, GOLD)
 
 
 def test_wavevector_quadrature_reports_stalls(monkeypatch):
@@ -344,9 +349,12 @@ COLD_GRID = np.linspace(0.5, 3.0, 30).tolist()
     (DRUDE, 1.0, COLD_GRID), (PLASMA, 1.0, COLD_GRID),
     # the 1 K grid reaches the direct path from 10.5 um on
     (CORED, 300.0, [0.1, 0.5, 1.0, 3.0]), (CORED, 1.0, [0.5, 2.0, 11.0]),
+    (GOLD, 1.0, [0.5, 1.0]),
+    # these sums reach their tail integrals in different rounds
+    (DRUDE, 0.1, [0.5, 1.7, 3.0]),
 ], ids=["room-drude", "room-nonlocal", "room-plasma", "small-a-drude",
         "small-a-nonlocal", "cold-drude", "cold-plasma", "cored-300K",
-        "cored-1K"])
+        "cored-1K", "cold-nonlocal", "deep-cold-drude"])
 def test_a_batch_has_the_bits_of_single_queries(model, temperature, grid):
     queries = [PressureQuery(a, temperature, model) for a in grid]
     assert casimir_pressures(queries) == [casimir_pressure(q) for q in queries]
@@ -363,10 +371,50 @@ def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
     monkeypatch.setattr(lifshitz, "integrate", recording)
     for model, temperature, grid in ((GOLD, 300.0, ROOM_GRID),
                                      (PLASMA, 1.0, COLD_GRID),
-                                     (CORED, 1.0, [0.5, 1.0])):
+                                     (CORED, 1.0, [0.5, 1.0]),
+                                     # more tails than one call takes
+                                     (DRUDE, 1.0, np.linspace(0.5, 3.0, 70))):
         casimir_pressures([PressureQuery(a, temperature, model)
                            for a in grid])
     assert max(passes) == _BLOCK
+
+
+def test_a_sweep_integrates_its_tails_in_one_call(monkeypatch):
+    calls = []
+
+    def recording(f, edges, *args, **kwargs):
+        # the y-panels of a tail start above 0, the u-panels of a term at 0
+        if edges[0, 0] > 0.0:
+            calls.append(edges.shape[0])
+        return integrate(f, edges, *args, **kwargs)
+
+    integrate = lifshitz.integrate
+    monkeypatch.setattr(lifshitz, "integrate", recording)
+    casimir_pressures([PressureQuery(a, 1.0, DRUDE) for a in COLD_GRID])
+    assert calls == [len(COLD_GRID)]
+
+
+def test_a_stalled_tail_node_fails_its_own_query(monkeypatch):
+    # every node of the tail integral of the query at 2 um stalls; the
+    # terms of both sums lie below y = 1 and converge
+    queries = [PressureQuery(1.0, 1.0, DRUDE), PressureQuery(2.0, 1.0, DRUDE)]
+    alone = casimir_pressure(queries[0])
+    c1 = CONSTANTS.hbar_c / (2.0 * 2.0)
+
+    def stalling(model, quad_tol, c1s, xi, y_lo, floor):
+        values, errors, ok = integrate(model, quad_tol, c1s, xi, y_lo, floor)
+        return values, errors, ok & ~((np.asarray(c1s) == c1) & (y_lo > 1.0))
+
+    integrate = lifshitz._integrate
+    monkeypatch.setattr(lifshitz, "_integrate", stalling)
+    with pytest.raises(ConvergenceError) as single:
+        casimir_pressure(queries[1])
+    with pytest.raises(ConvergenceError) as batch:
+        casimir_pressures(queries)
+    assert "tail integral stalled" in str(single.value)
+    assert str(batch.value) == str(single.value)
+    assert batch.value.last_estimate == single.value.last_estimate
+    assert casimir_pressure(queries[0]) == alone
 
 
 def test_a_batch_shares_one_model_and_one_quad_tol():

@@ -88,6 +88,47 @@ def test_zero_velocity_amplitudes_equal_fresnel_bitwise(xi, k):
     assert nl.r_te == direct.r_te
 
 
+def _copied(x):
+    """x as a new object of the same type, with the same bits."""
+    if isinstance(x, np.ndarray):
+        return x.copy()
+    return complex(x.real, x.imag) if isinstance(x, complex) else x * 1.0
+
+
+def _bits(pair):
+    return [np.asarray(r).tobytes() for r in pair]
+
+
+@given(xi=st.floats(1e-3, 1e2), k=st.lists(st.floats(0.0, 1e2), min_size=1,
+                                           max_size=8),
+       model=st.sampled_from([DRUDE, Plasma(9.0)]))
+@settings(deadline=None)
+def test_a_local_pair_skips_the_tm_correction_bit_for_bit(xi, k, model):
+    # a local model returns EpsPair(e, e); a copied eps_l takes the
+    # correction branch, whose term is exactly 0 there
+    k = np.array(k)
+    pair = eval_imag_axis(model, xi, k)
+    assert pair.eps_l is pair.eps_t
+    copied = EpsPair(_copied(pair.eps_l), pair.eps_t)
+    assert _bits(nonlocal_coeffs(copied, xi, k)) == _bits(
+        nonlocal_coeffs(pair, xi, k))
+
+
+@given(omega=st.floats(1e-3, 20.0), theta=st.floats(0.0, 1.5),
+       model=st.sampled_from([DRUDE, Plasma(9.0)]))
+@settings(deadline=None)
+def test_a_local_pair_skips_the_tm_correction_on_the_real_axis(
+        omega, theta, model):
+    shared = real_axis_coeffs(model, omega, theta)
+    with pytest.MonkeyPatch.context() as patch:
+        def copying(*args):
+            pair = eval_real_axis(*args)
+            return EpsPair(_copied(pair.eps_l), pair.eps_t, pair.passive)
+
+        patch.setattr("nlcasimir.reflection.eval_real_axis", copying)
+        assert _bits(real_axis_coeffs(model, omega, theta)) == _bits(shared)
+
+
 def test_tm_correction_vanishes_for_scalar_pairs():
     pair = EpsPair(100.0, 100.0)
     assert nonlocal_coeffs(pair, 0.5, 2.0) == fresnel(100.0, 0.5, 2.0)
