@@ -24,6 +24,8 @@ import numpy as np
 from .constants import CONSTANTS
 from .errors import ConvergenceError, DomainError, ParseError
 from .kramers_kronig import RELATIONS, KKReport, verify_kk
+# casimir_pressure is imported only because perfbench/tracing.py patches it
+# by name until it wraps casimir_pressures (ROADMAP 1); no command calls it
 from .lifshitz import PressureQuery, casimir_pressure, casimir_pressures
 from .optical_data import build_core_table, interband_im_eps, parse_optical_table
 from .reflection import reflectance_deviation
@@ -36,8 +38,6 @@ _KK_THRESHOLD = 1e-4
 # patched by name in perfbench/tracing.py until it wraps verify_kk (ROADMAP 1)
 verify_kk_real_from_imag_T = verify_kk_imag_from_real_T = None
 verify_kk_imag_axis_T = verify_kk_L = None
-# casimir_pressure is imported only because perfbench/tracing.py patches it
-# by name until it wraps casimir_pressures (ROADMAP 1); no command calls it
 # imaginary-axis grid used when tabulating an interband core
 _CORE_XI_GRID = np.geomspace(1e-3, 1e2, 121)
 

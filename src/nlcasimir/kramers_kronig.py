@@ -50,7 +50,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .quadrature import integrate, quad
 from .response import (FOUR_PI, NonlocalAlt, NonlocalParams, eval_imag_axis,
-                       eval_real_axis, static_transverse_conductivity)
+                       eval_real_axis, pole_weight,
+                       static_transverse_conductivity)
 
 _WINDOW_NODES, _WINDOW_WEIGHTS = np.polynomial.legendre.leggauss(31)
 
@@ -194,15 +195,15 @@ def _one_plus_spectral(w, integral):
     return 1.0 + (2.0 / math.pi) * integral
 
 
-def _x_imag(eps, x, pole_weight):
+def _x_imag(eps, x, weight):
     return x * np.imag(eps)
 
 
 _REAL_FROM_IMAG = Kernel(True, _x_imag, _one_plus_spectral, np.real)
-# pole_weight / x^2 cancels the second-order pole of Re eps_T at x = 0,
+# W / x^2 cancels the second-order pole of Re eps_T at x = 0,
 # without which the integral does not exist; eps_L has weight 0
 _IMAG_FROM_REAL = Kernel(
-    True, lambda eps, x, pole_weight: np.real(eps) + pole_weight / (x * x),
+    True, lambda eps, x, weight: np.real(eps) + weight / (x * x),
     lambda om, integral: -(2.0 * om / math.pi) * integral, np.imag)
 _IMAG_AXIS = Kernel(False, _x_imag, _one_plus_spectral, lambda eps: eps)
 
@@ -212,13 +213,13 @@ class Relation(NamedTuple):
 
     part: int              # _EPS_T or _EPS_L
     kernel: Kernel
-    # (w, pole_weight, 4 pi sigma_0) -> pole term added to the right-hand
+    # (w, W, 4 pi sigma_0) -> pole term added to the right-hand
     # side; transverse only
     subtraction: Optional[Callable] = None
     note: str = ""         # reported while eps_L is in its conducting limit
 
 
-# W = (omega_p^2 / gamma) v_T k_hat is the pole weight; the subtraction is
+# W is the transverse pole weight (pole_weight); the subtraction is
 # the piece include_pole_terms = False drops as a negative control
 RELATIONS = {
     # Re eps_T(omega) = 1 + (2/pi) PV int_0^inf x Im eps_T(x)
@@ -253,7 +254,7 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
     if transverse and p.gamma <= 0.0:
         raise DomainError("transverse dispersion relations need gamma > 0")
     if transverse:
-        return ((p.gamma,), p.omega_p**2 * params.v_t_ratio * k_hat / p.gamma,
+        return ((p.gamma,), pole_weight(params, k_hat),
                 FOUR_PI * static_transverse_conductivity(params, k_hat))
     vlk = params.v_l_ratio * k_hat
     if p.gamma == 0.0 and vlk == 0.0:
@@ -266,11 +267,11 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
     return (p.gamma, vlk), 0.0, None
 
 
-def _integrals(kernel, part, model, k_hat, w, hints, pole_weight):
+def _integrals(kernel, part, model, k_hat, w, hints, weight):
     """The kernel's integrals over (0, inf) at the grid points w."""
     def g(x):
         return kernel.spectral(eval_real_axis(model, x, k_hat)[part], x,
-                               pole_weight)
+                               weight)
 
     shift = w * w if kernel.real_axis else -(w * w)     # f = g / (x^2 - shift)
     g_ends = g(np.append(w, _CUTOFF))
@@ -313,7 +314,7 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
     if rel is None:
         raise DomainError(f"unknown relation id {relation!r}; choose from "
                           f"{', '.join(RELATIONS)}")
-    hints, pole_weight, sigma_term = _component_terms(
+    hints, weight, sigma_term = _component_terms(
         rel.part, params, k_hat, include_pole_terms)
     kernel = rel.kernel
     g = _resolve_grid(grid, "omega_grid" if kernel.real_axis else "xi_grid")
@@ -322,9 +323,9 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
     model = NonlocalAlt(params)
 
     rhs = kernel.rebuild(g, _integrals(kernel, rel.part, model, k_hat, g,
-                                       hints, pole_weight))
+                                       hints, weight))
     if include_pole_terms and rel.subtraction is not None:
-        rhs = rhs + rel.subtraction(g, pole_weight, sigma_term)
+        rhs = rhs + rel.subtraction(g, weight, sigma_term)
     # through the module-global names, so that a patched one sees the call
     axis = eval_real_axis if kernel.real_axis else eval_imag_axis
     lhs = kernel.target(axis(model, g, k_hat)[rel.part])

@@ -102,8 +102,9 @@ _GREGORY_WEIGHTS = 0.5 * _DELTA[0] + np.array(_GREGORY) @ _DELTA[1:7]
 @dataclass(frozen=True)
 class PressureQuery:
     """One pressure.  a^3, xi_1 = 2 pi k_B T, dy^3 and (1 - e^{-dy})^3, dy =
-    2 a xi_1/(hbar c), must be finite normal doubles, or DomainError: a in
-    [2.82e-103, 5.64e102] um and a T in [5.13e-101, 1.02e105] um K."""
+    2 a xi_1/(hbar c), must be finite normal doubles, k_B T/(8 pi a^3) and
+    (5 xi_1)^2 finite, or DomainError: a in [2.82e-103, 5.64e102] um, a T
+    in [5.13e-101, 1.02e105] um K, T/a^3 < 5.2e313 K/um^3, T < 4.9e156 K."""
     separation: float          # um
     temperature: float         # K
     model: ResponseModel
@@ -119,8 +120,13 @@ class PressureQuery:
         a, temp = self.separation, self.temperature
         xi_1 = matsubara_xi(1, temp)
         dy = 2.0 * a * xi_1 / CONSTANTS.hbar_c
-        if not all(2.0**-1022 <= x < math.inf for x in
-                   (a * a * a, xi_1, dy * dy * dy, (-math.expm1(-dy)) ** 3)):
+        # q_hat <= l xi_1 + SPAN c1 on the opening rows l <= 5 (dy > 1e50 where
+        # xi_1 nears overflow); k_B T/(8 pi a^3) is formed once a^3 has passed
+        q_top = 5.0 * xi_1 + SPAN * CONSTANTS.hbar_c / (2.0 * a)
+        if not (all(2.0**-1022 <= x < math.inf for x in
+                    (a * a * a, xi_1, dy * dy * dy, (-math.expm1(-dy)) ** 3))
+                and q_top * q_top < math.inf and CONSTANTS.boltzmann * temp
+                / (8.0 * math.pi * a * a * a) < math.inf):
             raise DomainError(f"a = {a} um, T = {temp} K lie outside the "
                               "range double arithmetic can sum")
         for name, tol in (("quad_tol", self.quad_tol), ("term_tol", self.term_tol)):
@@ -264,33 +270,27 @@ def _tail_rows(model, quad_tol, requests):
                (converged & ~stalled).tolist(), ratio.tolist())
 
 
-def _matsubara_tail(term, y_last, dy):
-    """|term| sum_{j>=1} rho^j P(y_last + j dy) / P(y_last), rho = e^{-dy}.
-
-    Terms fall off like the Gamma(3, y_l) envelope e^{-y_l} P(y_l), P(y) =
-    y^2 + 2y + 2; the sum is closed-form from sum_j j^k rho^j, k = 0, 1, 2.
-    """
+def _envelope_sum(y, dy):
+    """sum_{j>=1} e^{-j dy} P(y + j dy) of the Gamma(3, y) envelope e^{-y}
+    P(y), P(y) = y^2 + 2y + 2, closed-form from sum_j j^k e^{-j dy}."""
     rho = math.exp(-dy)
-    if rho >= 1.0:
-        return 0.0
-    q = 1.0 - rho
-    p = y_last * y_last + 2.0 * y_last + 2.0
-    return abs(term) * rho / q * (1.0 + (2.0 * y_last + 2.0) * dy / (q * p)
-                                  + dy * dy * (1.0 + rho) / (q * q * p))
+    q = -math.expm1(-dy)
+    return rho * (dy * dy * (1.0 + rho) / q**3 + (2.0 * y + 2.0) * dy / q**2
+                  + (y * y + 2.0 * y + 2.0) / q)
+
+
+def _matsubara_tail(term, y, dy):
+    """|term| sum_{j>=1} e^{-j dy} P(y + j dy) / P(y): the terms after the
+    last, at y, each scaled from it by the envelope."""
+    return abs(term) * _envelope_sum(y, dy) / (y * y + 2.0 * y + 2.0)
 
 
 def _direct_length(dy, term_tol):
-    """Terms the direct sum is predicted to take, y_stop/dy.
-
-    The envelope g(y) = e^{-y} P(y) / 2 of _matsubara_tail falls to
-    term_tol times its own primed sum S = 1/2 + sum_{j>=1} g(j dy) at
-    y_stop, the fixed point of y = ln(P(y) / (2 term_tol S)); S is
-    closed-form from sum_j j^k rho^j as in _matsubara_tail.
-    """
-    rho = math.exp(-dy)
-    q = -math.expm1(-dy)
-    total = 0.5 + 0.5 * rho * (dy * dy * (1.0 + rho) / q**3
-                               + 2.0 * dy / q**2 + 2.0 / q)
+    """Terms the direct sum is predicted to take, y_stop/dy: the envelope
+    g(y) = e^{-y} P(y) / 2 falls to term_tol times its own primed sum S =
+    1/2 + sum_{j>=1} g(j dy) at y_stop, the fixed point of y = ln(P(y) /
+    (2 term_tol S))."""
+    total = 0.5 + 0.5 * _envelope_sum(0.0, dy)
     log_floor = -math.log(term_tol * total)
     y = 0.0
     for _ in range(8):      # rises to the fixed point; the map contracts
@@ -404,8 +404,11 @@ def _matsubara_sum(query):
     else:
         quad_err += _matsubara_tail(term, float(y_lo[j]), dy)
         terms_used = l + 1
+    pressure = pressure_to_pascal(prefactor * acc)
+    if not abs(pressure) < math.inf:
+        raise DomainError(f"the pressure at a = {a} um, T = {temp} K overflows")
     return PressureResult(
-        pressure=pressure_to_pascal(prefactor * acc),
+        pressure=pressure,
         terms_used=terms_used,
         quad_error_estimate=unit * quad_err,
         per_term=tuple(
@@ -420,11 +423,10 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     them go through the wavevector quadrature together: first every static
     term, then rounds in which each sum still open adds its next block,
     and last one round of every tail integral, one integrate row each.
-    The rows of a round are integrated in passes of at most _BLOCK rows.
-    Rows are independent, so each result has the bits of its query
-    evaluated alone.  Where queries fail, the error of the first failing
-    one in input order is raised; queries with different models or
-    quad_tol raise DomainError.
+    The rows of a round are integrated in passes of at most _BLOCK rows;
+    each result has the bits of its query alone.  The error of the first
+    failing query in input order is raised; differing models or quad_tol
+    raise DomainError.
     """
     queries = list(queries)
     if not queries:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .response import DrudeParams
+from .response import Drude, DrudeParams, eval_real_axis
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def parse_optical_table(lines) -> OpticalTable:
 
 def drude_im_eps(drude: DrudeParams, omega):
     """Dissipative part of the Drude permittivity on the real axis."""
-    g = drude.gamma
-    return drude.omega_p**2 * g / (omega * (omega**2 + g * g))
+    return eval_real_axis(Drude(drude), omega).eps_t.imag
 
 
 def interband_im_eps(table: OpticalTable, drude: DrudeParams) -> InterbandImEps:

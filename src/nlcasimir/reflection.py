@@ -28,7 +28,7 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import quad
 from .response import (Drude, EpsPair, NonlocalAlt, PerfectReflector, Plasma,
                        ResponseModel, WithCore, check_point, eval_imag_axis,
-                       eval_real_axis, finite_and_positive)
+                       eval_real_axis, finite_and_positive, pole_weight)
 
 
 class ReflectionPair(NamedTuple):
@@ -210,7 +210,7 @@ def _zero_freq_nonlocal(model: NonlocalAlt, k_hat, core_static):
     # r_TM = (e0 - 1)/(e0 + 1), regular also at vL = 0 where e0 diverges.
     vlk = p.v_l_ratio * k_hat * g
     r_tm = (wp2 + vlk * (core_static - 1.0)) / (wp2 + vlk * (core_static + 1.0))
-    root = np.sqrt(k_hat * k_hat + wp2 * p.v_t_ratio * k_hat / g)
+    root = np.sqrt(k_hat * k_hat + pole_weight(p, k_hat))
     r_te = (k_hat - root) / (k_hat + root)
     return ReflectionPair(r_tm, r_te)
 

@@ -1,10 +1,14 @@
 """Dielectric response models.
 
-Local models (Drude, plasma) know nothing about the transverse wavevector.
-The nonlocal alternative carries two velocity parameters v_T, v_L of the
-order of the Fermi velocity; its transverse and longitudinal permittivities
-acquire k-dependent factors that vanish smoothly as the velocities go to
-zero, recovering the Drude forms exactly.
+Each model is one function of the frequency i*z, written once.  With
+D = omega_p^2 / (z (z + gamma)) the local models (Drude, and plasma at
+gamma = 0) have eps = 1 + D whatever the transverse wavevector.  The
+nonlocal alternative, with velocities v_T, v_L of the order of the Fermi
+velocity, has eps_T = 1 + D (1 + v_T k_hat / z) and eps_L = 1 + D / (1 +
+v_L k_hat / z), Drude's exactly at v = 0.  eval_imag_axis takes z = xi,
+eval_real_axis z = -i omega; below omega ~ 1.5e-154 eV the omega^2 of
+z (z + gamma) is subnormal and loses bits (at 1e-160 eV and k_hat = 0,
+Re eps is 1e-5 off).
 
 Evaluation happens in (frequency, k_hat) variables where k_hat = hbar*c*k_perp
 is the transverse wavevector as an energy in eV.  The incidence-angle picture
@@ -134,6 +138,27 @@ PRESETS = {
 }
 
 
+def _eps_at(model: ResponseModel, z, k_hat) -> EpsPair:
+    """The pair at frequency i*z, z = xi or -i omega, in the factored forms
+    of the module docstring, which keep v = 0 bit-exact Drude."""
+    if isinstance(model, Drude):
+        e = 1.0 + model.params.omega_p**2 / (z * (z + model.params.gamma))
+        return EpsPair(e, e)
+    if isinstance(model, Plasma):
+        e = 1.0 + model.omega_p**2 / (z * z)
+        return EpsPair(e, e)
+    if isinstance(model, NonlocalAlt):
+        nl, p = model.params, model.params.drude
+        d = p.omega_p**2 / (z * (z + p.gamma))
+        return EpsPair(1.0 + d / (1.0 + nl.v_l_ratio * k_hat / z),
+                       1.0 + d * (1.0 + nl.v_t_ratio * k_hat / z))
+    if isinstance(model, PerfectReflector):
+        raise UnsupportedOperationError(
+            "perfect reflector has no permittivity; its reflection "
+            "amplitudes are defined directly")
+    raise TypeError(f"unknown response model {model!r}")
+
+
 def eval_imag_axis(model: ResponseModel, xi: float, k_hat: float = 0.0) -> EpsPair:
     """Permittivity pair at imaginary frequency i*xi (xi in eV, > 0).
 
@@ -142,79 +167,38 @@ def eval_imag_axis(model: ResponseModel, xi: float, k_hat: float = 0.0) -> EpsPa
     zero-frequency reflection coefficients.
     """
     check_point(xi, k_hat)
-
-    if isinstance(model, Drude):
-        p = model.params
-        e = 1.0 + p.omega_p**2 / (xi * (xi + p.gamma))
-        return EpsPair(e, e)
-    if isinstance(model, Plasma):
-        e = 1.0 + model.omega_p**2 / (xi * xi)
-        return EpsPair(e, e)
-    if isinstance(model, NonlocalAlt):
-        p = model.params.drude
-        drude_term = p.omega_p**2 / (xi * (xi + p.gamma))
-        # Factored forms keep the v=0 reduction to Drude bit-exact.
-        eps_t = 1.0 + drude_term * (1.0 + model.params.v_t_ratio * k_hat / xi)
-        eps_l = 1.0 + drude_term / (1.0 + model.params.v_l_ratio * k_hat / xi)
-        return EpsPair(eps_l, eps_t)
     if isinstance(model, WithCore):
         inner = eval_imag_axis(model.inner, xi, k_hat)
         shift = model.core.value_at(xi) - 1.0
         return EpsPair(inner.eps_l + shift, inner.eps_t + shift, inner.passive)
-    if isinstance(model, PerfectReflector):
-        raise UnsupportedOperationError(
-            "perfect reflector has no permittivity; its reflection "
-            "amplitudes are defined directly")
-    raise TypeError(f"unknown response model {model!r}")
-
-
-def _drude_term(p: DrudeParams, omega):
-    """omega_p^2 / (omega (omega + i gamma)) as real and imaginary parts."""
-    scale = p.omega_p**2 / (omega * omega + p.gamma * p.gamma)
-    return scale, -scale * p.gamma / omega
-
-
-def _one_minus(re, im):
-    """1 - (re + i im); 1j * im scales by 0 and 1 only, so it is exact."""
-    return (1.0 - re) - 1j * im
+    return _eps_at(model, xi, k_hat)
 
 
 def eval_real_axis(model: ResponseModel, omega, k_hat=0.0) -> EpsPair:
     """Complex permittivity pair at real frequency omega (eV, > 0).
 
-    Analytic continuation of the imaginary-axis forms, e^{-i omega t}
+    The imaginary-axis formulas at xi = -i omega, e^{-i omega t}
     convention, so Im eps > 0 means absorption.  The transverse component
     of the nonlocal model turns negative-dissipation for
     k_hat > gamma*c/v_T; the returned pair is then flagged non-passive.
-    omega and k_hat broadcast, each entry with the bits of its scalar call.
+    omega and k_hat broadcast, each entry with the bits of its scalar call,
+    which runs numpy's loops on one entry and returns Python complex.
     """
     check_point(omega, k_hat, "omega")
-
-    if isinstance(model, NonlocalAlt):
-        nl = model.params
-        p = nl.drude
-        dr, di = _drude_term(p, omega)
-        # 1 - D (1 + i t) and 1 - D / (1 + i s) = 1 - D (1 - i s) / (1 + s^2)
-        t = nl.v_t_ratio * k_hat / omega
-        s = nl.v_l_ratio * k_hat / omega
-        eps_t = _one_minus(dr - di * t, dr * t + di)
-        eps_l = _one_minus((dr + di * s) / (1.0 + s * s),
-                           (di - dr * s) / (1.0 + s * s))
-        passive = nl.v_t_ratio * k_hat <= p.gamma
-        return EpsPair(eps_l, eps_t, passive)
-    if isinstance(model, Drude):
-        e = _one_minus(*_drude_term(model.params, omega))
-        return EpsPair(e, e)
-    if isinstance(model, Plasma):
-        e = _one_minus(model.omega_p**2 / (omega * omega), 0.0)
-        return EpsPair(e, e)
     if isinstance(model, WithCore):
         raise UnsupportedOperationError(
             "interband cores are tabulated on the imaginary axis only")
-    if isinstance(model, PerfectReflector):
-        raise UnsupportedOperationError(
-            "perfect reflector has no permittivity")
-    raise TypeError(f"unknown response model {model!r}")
+    local = not isinstance(model, NonlocalAlt)     # shaped by omega alone
+    eps_l, eps_t, _ = _eps_at(model, -1j * np.atleast_1d(omega), k_hat)
+    if np.ndim(omega) == 0 and (local or np.ndim(k_hat) == 0):
+        eps_l, eps_t = complex(eps_l[0]), complex(eps_t[0])
+    return EpsPair(eps_l, eps_t, local or
+                   model.params.v_t_ratio * k_hat <= model.params.drude.gamma)
+
+
+def pole_weight(params: NonlocalParams, k_hat):
+    """Static pole weight W = omega_p^2 v_T k_hat / gamma: eps_T ~ W / z^2."""
+    return params.drude.omega_p**2 * params.v_t_ratio * k_hat / params.drude.gamma
 
 
 def static_transverse_conductivity(params: NonlocalParams, k_hat: float) -> float:

@@ -541,7 +541,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  *(["pressure", "--models", "drude", "--points", "1",
                     "--a-min", a, "--a-max", a, "--temp", t]
                    for a, t in (("1e-120", "300"), ("1e200", "300"),
-                                ("1", "1e-300"), ("1", "1e300")))):
+                                ("1", "1e-300"), ("1", "1e300"),
+                                ("1e-90", "1e80"), ("1e-100", "1e204"),
+                                ("2.83e-103", "1e207")))):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err

@@ -191,6 +191,30 @@ def test_query_validation():
                     (1.0, 1e300)):
         with pytest.raises(DomainError):
             PressureQuery(a, temp, GOLD)
+    # the Pa prefactor k_B T/(8 pi a^3) would overflow, or q_hat^2 on the
+    # first rows of the sum would
+    for a, temp in ((1e-90, 1e80), (1e-100, 1e204), (2.83e-103, 1e207),
+                    (1e-52, 1e157)):
+        with pytest.raises(DomainError, match="outside the range"):
+            PressureQuery(a, temp, GOLD)
+
+
+def test_an_overflowing_pressure_is_refused():
+    # k_B T/(8 pi a^3) is just finite here, the sum of the terms is above 1
+    query = PressureQuery(10**-55.5, 1e147, PerfectReflector())
+    with pytest.raises(DomainError, match="overflows"):
+        casimir_pressure(query)
+
+
+def test_envelope_sum_matches_a_brute_force_sum():
+    # e^{-x} P(x) underflows to 0 before x = 760
+    for dy in (1e-3, 0.05, 0.5, 5.0):
+        j = np.arange(1, int(760.0 / dy) + 1)
+        for y in (0.0, 0.5, 30.0):
+            x = y + j * dy
+            want = math.fsum(np.exp(-j * dy) * (x * x + 2.0 * x + 2.0))
+            assert math.isclose(lifshitz._envelope_sum(y, dy), want,
+                                rel_tol=1e-12)
 
 
 def test_wavevector_quadrature_reports_stalls(monkeypatch):

@@ -6,6 +6,7 @@ Matsubara energy) and k_hat = 1 eV.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,51 @@ def test_nonlocal_passivity_flag_flips_at_large_wavevector():
 def test_real_axis_components_differ_only_through_velocities():
     local = eval_real_axis(V0, 0.7, 3.0)
     assert local.eps_t == local.eps_l
+
+
+def _exact_nonlocal_real_axis(params, omega, k_hat):
+    """(eps_l, eps_t) in exact rational arithmetic on the float inputs:
+    eps_T = 1 - D (1 + i t), eps_L = 1 - D (1 - i s) / (1 + s^2), with
+    D = omega_p^2 (omega - i gamma) / (omega (omega^2 + gamma^2)),
+    t = v_T k_hat / omega and s = v_L k_hat / omega."""
+    w, k = Fraction(omega), Fraction(k_hat)
+    wp2, g = Fraction(params.drude.omega_p) ** 2, Fraction(params.drude.gamma)
+    d_re = wp2 / (w * w + g * g)
+    d_im = -wp2 * g / (w * (w * w + g * g))
+    t = Fraction(params.v_t_ratio) * k / w
+    s = Fraction(params.v_l_ratio) * k / w
+    eps_t = (1 - (d_re - d_im * t), -(d_re * t + d_im))
+    eps_l = (1 - (d_re + d_im * s) / (1 + s * s),
+             -(d_im - d_re * s) / (1 + s * s))
+    return tuple(complex(float(re), float(im)) for re, im in (eps_l, eps_t))
+
+
+def test_nonlocal_real_axis_matches_exact_arithmetic():
+    # omega brackets gamma and omega_p; k_hat = 5 is past gamma/v_T, where
+    # the transverse response is no longer passive.  eps = 1 - D cancels
+    # near omega_p, where no double can come closer than the rounding of
+    # 1 - D: the bound scales with the larger of |eps| and |D|
+    omega = [1e-3, 0.035, 0.5, 8.9, 9.0, 100.0]
+    split = NonlocalAlt(NonlocalParams(DrudeParams(7.9, 0.02), 0.01, 0.003))
+    for model in (GOLD, split):
+        for k_hat in (0.3, 5.0):
+            block = eval_real_axis(model, np.array(omega), k_hat)
+            for i, w in enumerate(omega):
+                exact = _exact_nonlocal_real_axis(model.params, w, k_hat)
+                scalar = eval_real_axis(model, w, k_hat)
+                for part in (0, 1):
+                    want = exact[part]
+                    assert abs(scalar[part] - want) <= 1e-14 * max(
+                        abs(want), abs(want - 1.0))
+                    assert block[part][i] == scalar[part]
+
+
+def test_real_axis_result_is_shaped_by_what_the_model_depends_on():
+    k = np.array([0.1, 0.2])
+    assert type(eval_real_axis(DRUDE, 0.5, k).eps_t) is complex
+    assert type(eval_real_axis(GOLD, 0.5, 0.3).eps_t) is complex
+    assert eval_real_axis(GOLD, 0.5, k).eps_t.shape == (2,)
+    assert eval_real_axis(DRUDE, np.array([0.5]), k).eps_t.shape == (1,)
 
 
 def test_with_core_shifts_both_components():
