@@ -8,7 +8,7 @@ in :mod:`nlcasimir.reflection`, the pressure engine in
 :mod:`nlcasimir.optical_data`.
 """
 
-from .constants import CONSTANTS, MatsubaraPoint, matsubara_xi, pressure_to_pascal
+from .constants import CONSTANTS, matsubara_xi, pressure_to_pascal
 from .errors import (ConvergenceError, DomainError, ParseError,
                      UnsupportedOperationError)
 from .kramers_kronig import (RELATIONS, KKReport, PVSettings, pv_integral,
@@ -33,7 +33,7 @@ from .sphere_plate import SpherePlateConfig, force_gradient, parse_experiment_cs
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "MatsubaraPoint", "matsubara_xi", "pressure_to_pascal",
+    "CONSTANTS", "matsubara_xi", "pressure_to_pascal",
     "ConvergenceError", "DomainError", "ParseError", "UnsupportedOperationError",
     "RELATIONS", "KKReport", "PVSettings", "pv_integral", "verify_kk",
     "PressureQuery", "PressureResult", "casimir_pressure",

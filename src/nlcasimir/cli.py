@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,17 +39,6 @@ verify_kk_real_from_imag_T = verify_kk_imag_from_real_T = None
 verify_kk_imag_axis_T = verify_kk_L = None
 # imaginary-axis grid used when tabulating an interband core
 _CORE_XI_GRID = np.geomspace(1e-3, 1e2, 121)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Model parameters and output plumbing shared by all subcommands."""
-
-    params: NonlocalParams
-    temperature: float
-    fmt: str
-    out: Optional[str]
-    optical_data: Optional[str]
 
 
 def _fmt(x: float) -> str:
@@ -97,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tabulated n,k file; adds an interband core on "
                             "the imaginary axis")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None,
+                       default="csv",
                        help="output format (default: csv; kk-verify: json)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the data stream to PATH instead of stdout")
@@ -153,6 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kk.add_argument("--relations", default="all",
                       help="'all' or comma list from: "
                            + ", ".join(RELATIONS))
+    p_kk.set_defaults(fmt="json")
     return parser
 
 
@@ -166,31 +155,24 @@ def _resolve_params(args) -> NonlocalParams:
     return NonlocalParams(DrudeParams(omega_p, gamma), vt, vl)
 
 
-def _config(args) -> RunConfig:
-    default_fmt = "json" if args.command == "kk-verify" else "csv"
-    return RunConfig(params=_resolve_params(args),
-                     temperature=args.temp,
-                     fmt=args.fmt or default_fmt,
-                     out=args.out,
-                     optical_data=args.optical_data)
-
-
-def _load_core(cfg: RunConfig):
-    with open(cfg.optical_data, encoding="utf-8") as handle:
+def _load_core(args):
+    """The interband core of --optical-data, or None without one."""
+    if not args.optical_data:
+        return None
+    with open(args.optical_data, encoding="utf-8") as handle:
         table = parse_optical_table(handle.read())
-    interband = interband_im_eps(table, cfg.params.drude)
-    return build_core_table(interband, _CORE_XI_GRID,
-                            provenance=cfg.optical_data)
+    interband = interband_im_eps(table, args.params.drude)
+    return build_core_table(interband, _CORE_XI_GRID)
 
 
-def _build_model(name: str, cfg: RunConfig, core):
+def _build_model(name: str, args, core):
     if name == "drude":
-        model = Drude(cfg.params.drude)
+        model = Drude(args.params.drude)
     elif name == "nonlocal":
-        model = NonlocalAlt(cfg.params)
+        model = NonlocalAlt(args.params)
     elif name == "plasma":
         # dissipationless baseline: no relaxation, no interband core
-        return Plasma(cfg.params.drude.omega_p)
+        return Plasma(args.params.drude.omega_p)
     else:
         raise DomainError(f"unknown model name {name!r}")
     if core is not None:
@@ -198,36 +180,36 @@ def _build_model(name: str, cfg: RunConfig, core):
     return model
 
 
-def _meta(cfg: RunConfig, extra: dict) -> dict:
+def _meta(args, extra: dict) -> dict:
     """Run parameters, then extra; floats as 9-digit text for CSV and as
     floats rounded to 9 digits for JSON."""
-    num = _fmt if cfg.fmt == "csv" else _round9
+    num = _fmt if args.fmt == "csv" else _round9
     vf = CONSTANTS.fermi_velocity_ratio_default
     meta = {
-        "omega_p_eV": num(cfg.params.drude.omega_p),
-        "gamma_eV": num(cfg.params.drude.gamma),
-        "vt_over_vF": num(cfg.params.v_t_ratio / vf),
-        "vl_over_vF": num(cfg.params.v_l_ratio / vf),
-        "temp_K": num(cfg.temperature),
+        "omega_p_eV": num(args.params.drude.omega_p),
+        "gamma_eV": num(args.params.drude.gamma),
+        "vt_over_vF": num(args.params.v_t_ratio / vf),
+        "vl_over_vF": num(args.params.v_l_ratio / vf),
+        "temp_K": num(args.temp),
     }
-    if cfg.optical_data:
-        meta["optical_data"] = cfg.optical_data
+    if args.optical_data:
+        meta["optical_data"] = args.optical_data
     meta.update(extra)
     return meta
 
 
-def _csv(cfg: RunConfig, extra: dict, header: List[str], lines) -> str:
-    meta = " ".join(f"{k}={v}" for k, v in _meta(cfg, extra).items())
+def _csv(args, extra: dict, header: List[str], lines) -> str:
+    meta = " ".join(f"{k}={v}" for k, v in _meta(args, extra).items())
     return "\n".join([f"# {meta}", ",".join(header), *lines]) + "\n"
 
 
-def _emit_table(cfg: RunConfig, meta: dict, header: List[str],
+def _emit_table(args, meta: dict, header: List[str],
                 rows: List[List[float]]) -> str:
-    if cfg.fmt == "csv":
-        return _csv(cfg, meta, header,
+    if args.fmt == "csv":
+        return _csv(args, meta, header,
                     (",".join(_fmt(v) for v in row) for row in rows))
     payload = {
-        "meta": _meta(cfg, meta),
+        "meta": _meta(args, meta),
         "columns": header,
         "rows": [[_round9(v) for v in row] for row in rows],
     }
@@ -246,10 +228,10 @@ def _grid(lo: float, hi: float, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _cmd_epsilon(args, cfg: RunConfig) -> str:
+def _cmd_epsilon(args) -> str:
     grid = _grid(args.omega_min, args.omega_max, args.points)
-    core = _load_core(cfg) if cfg.optical_data else None
-    model = _build_model("nonlocal", cfg, core)
+    core = _load_core(args)
+    model = _build_model("nonlocal", args, core)
     if args.axis == "imag":
         header = ["xi_eV", "eps_L", "eps_T"]
         pair = eval_imag_axis(model, grid, args.kperp)
@@ -265,47 +247,38 @@ def _cmd_epsilon(args, cfg: RunConfig) -> str:
                    pair.eps_t.real, pair.eps_t.imag]
     meta = {"command": "epsilon", "axis": args.axis,
             "kperp_eV": _fmt(args.kperp)}
-    return _emit_table(cfg, meta, header, np.column_stack([grid, *columns]))
+    return _emit_table(args, meta, header, np.column_stack([grid, *columns]))
 
 
-def _cmd_pressure(args, cfg: RunConfig) -> str:
+def _cmd_pressure(args) -> str:
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     if not names:
         raise DomainError("--models must name at least one model")
     if len(set(names)) < len(names):
         raise DomainError(f"a model is listed twice in {args.models!r}")
-    core = _load_core(cfg) if cfg.optical_data else None
-    models = {n: _build_model(n, cfg, core) for n in names}
+    core = _load_core(args)
+    models = {n: _build_model(n, args, core) for n in names}
     grid = _grid(args.a_min, args.a_max, args.points)
 
-    header = ["a_um"] + [f"P_{n}_Pa" for n in names]
-    with_ratio_nl = "nonlocal" in names and "drude" in names
-    with_ratio_pl = "plasma" in names and "drude" in names
-    if with_ratio_nl:
-        header.append("ratio_nl_drude")
-    if with_ratio_pl:
-        header.append("ratio_pl_drude")
+    # a ratio_<tag>_drude column for each of these listed with drude
+    ratios = [(n, tag) for n, tag in (("nonlocal", "nl"), ("plasma", "pl"))
+              if n in names and "drude" in names]
+    header = (["a_um"] + [f"P_{n}_Pa" for n in names]
+              + [f"ratio_{tag}_drude" for _, tag in ratios])
 
     # one call per model: its separations share the quadrature passes
     columns = {n: [r.pressure for r in casimir_pressures(
-        [PressureQuery(float(a), cfg.temperature, models[n]) for a in grid])]
+        [PressureQuery(float(a), args.temp, models[n]) for a in grid])]
         for n in names}
-    rows = []
-    for i, a in enumerate(grid):
-        pressures = {n: columns[n][i] for n in names}
-        row = [a] + [pressures[n] for n in names]
-        if with_ratio_nl:
-            row.append(pressures["nonlocal"] / pressures["drude"])
-        if with_ratio_pl:
-            row.append(pressures["plasma"] / pressures["drude"])
-        rows.append(row)
+    rows = [[a] + [columns[n][i] for n in names]
+            + [columns[n][i] / columns["drude"][i] for n, _ in ratios]
+            for i, a in enumerate(grid)]
     meta = {"command": "pressure", "models": ",".join(names)}
-    return _emit_table(cfg, meta, header, rows)
+    return _emit_table(args, meta, header, rows)
 
 
-def _cmd_gradient(args, cfg: RunConfig) -> str:
-    core = _load_core(cfg) if cfg.optical_data else None
-    model = _build_model(args.model, cfg, core)
+def _cmd_gradient(args) -> str:
+    model = _build_model(args.model, args, _load_core(args))
     sp = SpherePlateConfig(radius=args.radius, beta=args.beta,
                            delta_sphere=args.delta_s, delta_plate=args.delta_p)
 
@@ -318,7 +291,7 @@ def _cmd_gradient(args, cfg: RunConfig) -> str:
         header = ["a_um", "Fprime_theor"]
     # one call for every separation; force_gradient looks each one up
     pressures = dict(zip(seps.tolist(), (r.pressure for r in casimir_pressures(
-        [PressureQuery(float(a), cfg.temperature, model) for a in seps]))))
+        [PressureQuery(float(a), args.temp, model) for a in seps]))))
     theor = [force_gradient(float(a), sp, pressures.__getitem__) for a in seps]
     if args.expt:
         rows = [[a, t, fp, fp - t] for a, t, fp in zip(seps, theor, fp_expt)]
@@ -327,16 +300,16 @@ def _cmd_gradient(args, cfg: RunConfig) -> str:
     meta = {"command": "gradient", "model": args.model,
             "radius_um": _fmt(args.radius), "beta": _fmt(args.beta),
             "delta_s_um": _fmt(args.delta_s), "delta_p_um": _fmt(args.delta_p)}
-    return _emit_table(cfg, meta, header, rows)
+    return _emit_table(args, meta, header, rows)
 
 
-def _cmd_reflectance(args, cfg: RunConfig) -> str:
-    if cfg.optical_data:
+def _cmd_reflectance(args) -> str:
+    if args.optical_data:
         raise DomainError("reflectance works on the real axis; interband "
                           "cores (--optical-data) are imaginary-axis only")
     theta = _parse_theta(args.theta)
-    nonlocal_model = _build_model("nonlocal", cfg, None)
-    local_model = _build_model("drude", cfg, None)
+    nonlocal_model = _build_model("nonlocal", args, None)
+    local_model = _build_model("drude", args, None)
     grid = _grid(args.omega_min, args.omega_max, args.points)
     header = ["omega_eV", "R_TM", "R_TE", "dR_TM", "dR_TE"]
     rows = []
@@ -346,7 +319,7 @@ def _cmd_reflectance(args, cfg: RunConfig) -> str:
         rows.append([om, dev.reflectance_tm, dev.reflectance_te,
                      dev.deviation_tm, dev.deviation_te])
     meta = {"command": "reflectance", "theta_rad": _fmt(theta)}
-    return _emit_table(cfg, meta, header, rows)
+    return _emit_table(args, meta, header, rows)
 
 
 def _select_relations(spec: str) -> List[str]:
@@ -375,25 +348,29 @@ def _report_dict(report: KKReport) -> dict:
     return out
 
 
-def _cmd_kk_verify(args, cfg: RunConfig) -> tuple:
+def _cmd_kk_verify(args) -> tuple:
     wanted = _select_relations(args.relations)
     k = args.kperp
     # table order, so that which input error is reported does not depend
     # on the order of --relations
-    reports = {rid: verify_kk(rid, cfg.params, k)
+    reports = {rid: verify_kk(rid, args.params, k)
                for rid in RELATIONS if rid in wanted}
     ordered = [reports[name] for name in wanted]
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps([_report_dict(r) for r in ordered], indent=2) + "\n"
     else:
-        text = _csv(cfg, {"command": "kk-verify", "kperp_eV": _fmt(k)},
+        text = _csv(args, {"command": "kk-verify", "kperp_eV": _fmt(k)},
                     ["relation", "grid_eV", "residual"],
                     (f"{rep.relation},{_fmt(x)},{_fmt(res)}"
                      for rep in ordered
                      for x, res in zip(rep.grid, rep.residuals)))
     failed = any(r.max_residual > _KK_THRESHOLD for r in ordered)
     return text, failed
+
+
+_COMMANDS = {"epsilon": _cmd_epsilon, "pressure": _cmd_pressure,
+             "gradient": _cmd_gradient, "reflectance": _cmd_reflectance}
 
 
 @contextlib.contextmanager
@@ -420,23 +397,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     exit_code = 0
     try:
         with _warnings_printed():
-            cfg = _config(args)
-            if args.command == "epsilon":
-                text = _cmd_epsilon(args, cfg)
-            elif args.command == "pressure":
-                text = _cmd_pressure(args, cfg)
-            elif args.command == "gradient":
-                text = _cmd_gradient(args, cfg)
-            elif args.command == "reflectance":
-                text = _cmd_reflectance(args, cfg)
-            elif args.command == "kk-verify":
-                text, failed = _cmd_kk_verify(args, cfg)
+            args.params = _resolve_params(args)
+            if args.command == "kk-verify":
+                text, failed = _cmd_kk_verify(args)
                 if failed:
                     print(f"kk-verify: at least one max_residual exceeds "
                           f"{_KK_THRESHOLD:g}", file=sys.stderr)
                     exit_code = 1
-            else:  # pragma: no cover - argparse enforces the choices
-                raise DomainError(f"unknown command {args.command!r}")
+            else:
+                text = _COMMANDS[args.command](args)
     except (DomainError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -444,8 +413,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -32,21 +32,6 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class MatsubaraPoint:
-    """One thermal frequency: index l, energy hbar*xi_l in eV, and the
-    temperature it was generated at."""
-
-    index: int
-    xi: float           # eV
-    temperature: float  # K
-
-    @classmethod
-    def at(cls, l, temperature):
-        return cls(index=l, xi=matsubara_xi(l, temperature),
-                   temperature=temperature)
-
-
 def matsubara_xi(l, temperature):
     """Energy of the l-th Matsubara frequency, 2*pi*k_B*T*l, in eV.
 

@@ -11,11 +11,13 @@ before the dispersion integrals converge.  The longitudinal component at
 v_L k_hat > 0 is regular down to zero frequency and satisfies the plain
 insulator-form relations with no subtraction at all.
 
-The six relations differ only in their component (eps_T or eps_L), their
-kernel (which part of eps is integrated and which value it rebuilds) and
-the transverse pole subtraction.  RELATIONS has one row per relation id,
-commented with the folded formula it checks, and verify_kk runs a row on
-a grid; it is the only entry point to the checks.
+There are three kernels: real part from imaginary part, imaginary part
+from real part, and imaginary-axis value from imaginary part.  Each is
+written once as the eps_T formula with its pole terms (-W / omega^2,
++4 pi sigma_0 / omega, +W / xi^2), and the eps_L relation is the same
+formula at W = sigma_0 = 0.  RELATIONS is {t, l} x kernels, six relation
+ids, and verify_kk runs one on a grid; it is the only entry point to the
+checks.
 
 verify_kk runs a relation as one pass of nlcasimir.quadrature whose rows
 are its grid points w; eval_real_axis takes all nodes as one array.
@@ -189,6 +191,9 @@ class Kernel(NamedTuple):
     spectral: Callable
     rebuild: Callable      # (w, integral) -> right-hand side
     target: Callable       # eps at w, on the relation's axis -> left-hand side
+    # (w, W, 4 pi sigma_0) -> the pole term added to the right-hand side,
+    # which include_pole_terms = False drops as a negative control
+    pole: Callable
 
 
 def _one_plus_spectral(w, integral):
@@ -199,13 +204,26 @@ def _x_imag(eps, x, weight):
     return x * np.imag(eps)
 
 
-_REAL_FROM_IMAG = Kernel(True, _x_imag, _one_plus_spectral, np.real)
-# W / x^2 cancels the second-order pole of Re eps_T at x = 0,
-# without which the integral does not exist; eps_L has weight 0
-_IMAG_FROM_REAL = Kernel(
-    True, lambda eps, x, weight: np.real(eps) + weight / (x * x),
-    lambda om, integral: -(2.0 * om / math.pi) * integral, np.imag)
-_IMAG_AXIS = Kernel(False, _x_imag, _one_plus_spectral, lambda eps: eps)
+# W is the transverse pole weight (pole_weight), sigma_0 the static
+# transverse conductivity; each formula holds for eps_L with W = sigma_0 = 0
+_KERNELS = {
+    # Re eps(omega) = 1 + (2/pi) PV int_0^inf x Im eps(x) / (x^2 - omega^2)
+    # dx - W / omega^2, subtracting the second-order pole
+    "real-from-imag": Kernel(True, _x_imag, _one_plus_spectral, np.real,
+                             lambda om, weight, sigma: -weight / (om * om)),
+    # Im eps(omega) = -(2 omega/pi) PV int_0^inf [Re eps(x) + W / x^2]
+    # / (x^2 - omega^2) dx + 4 pi sigma_0 / omega, subtracting the
+    # first-order pole; W / x^2, without which the integral does not
+    # exist, is always kept
+    "imag-from-real": Kernel(
+        True, lambda eps, x, weight: np.real(eps) + weight / (x * x),
+        lambda om, integral: -(2.0 * om / math.pi) * integral, np.imag,
+        lambda om, weight, sigma: sigma / om),
+    # eps(i xi) = 1 + (2/pi) int_0^inf x Im eps(x) / (x^2 + xi^2) dx
+    # + W / xi^2: no principal value, but the second-order pole survives
+    "imag-axis": Kernel(False, _x_imag, _one_plus_spectral, lambda eps: eps,
+                        lambda xi, weight, sigma: weight / (xi * xi)),
+}
 
 
 class Relation(NamedTuple):
@@ -213,42 +231,26 @@ class Relation(NamedTuple):
 
     part: int              # _EPS_T or _EPS_L
     kernel: Kernel
-    # (w, W, 4 pi sigma_0) -> pole term added to the right-hand
-    # side; transverse only
-    subtraction: Optional[Callable] = None
     note: str = ""         # reported while eps_L is in its conducting limit
 
 
-# W is the transverse pole weight (pole_weight); the subtraction is
-# the piece include_pole_terms = False drops as a negative control
+# at gamma = 0 or v_L k_hat = 0 eps_L is a conductor's, whose
+# static-conductivity pole the eps_L form (sigma_0 = 0) lacks: flagged,
+# not hidden
+_CONDUCTING_NOTE = ("conducting limit: insulator-form relation omits the "
+                    "static-conductivity pole and fails by construction")
 RELATIONS = {
-    # Re eps_T(omega) = 1 + (2/pi) PV int_0^inf x Im eps_T(x)
-    # / (x^2 - omega^2) dx - W / omega^2, subtracting the second-order pole
-    "t-real-from-imag": Relation(
-        _EPS_T, _REAL_FROM_IMAG, lambda om, weight, sigma: -weight / (om * om)),
-    # Im eps_T(omega) = -(2 omega/pi) PV int_0^inf [Re eps_T(x) + W / x^2]
-    # / (x^2 - omega^2) dx + 4 pi sigma_0 / omega, subtracting the
-    # first-order pole; W / x^2 is always kept
-    "t-imag-from-real": Relation(
-        _EPS_T, _IMAG_FROM_REAL, lambda om, weight, sigma: sigma / om),
-    # eps_T(i xi) = 1 + (2/pi) int_0^inf x Im eps_T(x) / (x^2 + xi^2) dx
-    # + W / xi^2: no principal value, but the second-order pole survives
-    "t-imag-axis": Relation(
-        _EPS_T, _IMAG_AXIS, lambda xi, weight, sigma: weight / (xi * xi)),
-    # the same three with eps_L, W = 0 and no subtraction (insulator form)
-    "l-real-from-imag": Relation(_EPS_L, _REAL_FROM_IMAG),
-    # at gamma = 0 or v_L k_hat = 0 eps_L is a conductor's, whose
-    # static-conductivity pole this form lacks: flagged, not hidden
-    "l-imag-from-real": Relation(
-        _EPS_L, _IMAG_FROM_REAL,
-        note="conducting limit: insulator-form relation omits the "
-             "static-conductivity pole and fails by construction"),
-    "l-imag-axis": Relation(_EPS_L, _IMAG_AXIS),
+    f"{prefix}-{name}": Relation(
+        part, kernel,
+        _CONDUCTING_NOTE if (part, name) == (_EPS_L, "imag-from-real") else "")
+    for prefix, part in (("t", _EPS_T), ("l", _EPS_L))
+    for name, kernel in _KERNELS.items()
 }
 
 
 def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
-    """(break points, pole weight W, 4 pi sigma_0) of checked inputs."""
+    """(break points, pole weight W, 4 pi sigma_0) of checked inputs;
+    W = sigma_0 = 0 for eps_L."""
     p = params.drude
     transverse = part == _EPS_T
     if transverse and p.gamma <= 0.0:
@@ -264,7 +266,7 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
     if not include_pole_terms:
         raise DomainError("longitudinal relations carry no pole subtraction "
                           "to drop")
-    return (p.gamma, vlk), 0.0, None
+    return (p.gamma, vlk), 0.0, 0.0
 
 
 def _integrals(kernel, part, model, k_hat, w, hints, weight):
@@ -324,8 +326,8 @@ def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
 
     rhs = kernel.rebuild(g, _integrals(kernel, rel.part, model, k_hat, g,
                                        hints, weight))
-    if include_pole_terms and rel.subtraction is not None:
-        rhs = rhs + rel.subtraction(g, weight, sigma_term)
+    if include_pole_terms:
+        rhs = rhs + kernel.pole(g, weight, sigma_term)
     # through the module-global names, so that a patched one sees the call
     axis = eval_real_axis if kernel.real_axis else eval_imag_axis
     lhs = kernel.target(axis(model, g, k_hat)[rel.part])

@@ -375,9 +375,6 @@ def _matsubara_sum(query):
         comp = (t - acc) - y
         acc = t
 
-        if acc == 0.0 and term == 0.0:
-            # no interaction at all; report the single meaningful term
-            return PressureResult(0.0, 1, 0.0, (0.0,))
         if not l0 and abs(term) < query.term_tol * abs(acc):
             break
         if l >= l_cap:

@@ -33,14 +33,6 @@ class OpticalTable:
     n: np.ndarray
     k: np.ndarray
 
-    @property
-    def min_energy(self) -> float:
-        return float(self.energy[0])
-
-    @property
-    def max_energy(self) -> float:
-        return float(self.energy[-1])
-
     def im_eps(self) -> np.ndarray:
         """Im eps = 2nk on the table grid."""
         return 2.0 * self.n * self.k
@@ -105,9 +97,9 @@ def interband_im_eps(table: OpticalTable, drude: DrudeParams) -> InterbandImEps:
     Applied over the full table range: low-energy rows mix free-electron and
     interband weight, and subtraction is the standard way to split them.
     """
-    if table.max_energy < 2.0:
+    if table.energy[-1] < 2.0:
         raise DomainError(
-            f"table ends at {table.max_energy} eV, below the interband "
+            f"table ends at {table.energy[-1]} eV, below the interband "
             "region (needs coverage to at least 2 eV)")
     residual = table.im_eps() - drude_im_eps(drude, table.energy)
     return InterbandImEps(table.energy, np.maximum(residual, 0.0))
@@ -132,7 +124,6 @@ class CoreTable:
 
     xi_grid: np.ndarray
     core_values: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         if len(self.xi_grid) == 0:
@@ -153,8 +144,7 @@ class CoreTable:
         return float(values) if values.ndim == 0 else values
 
 
-def build_core_table(ib: InterbandImEps, xi_grid: Sequence[float],
-                     provenance: str = "") -> CoreTable:
+def build_core_table(ib: InterbandImEps, xi_grid: Sequence[float]) -> CoreTable:
     grid = np.asarray(xi_grid, dtype=float)
     values = np.array([core_imag_axis(ib, xi) for xi in grid])
-    return CoreTable(grid, values, provenance)
+    return CoreTable(grid, values)

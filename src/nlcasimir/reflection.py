@@ -41,9 +41,10 @@ class ImpedancePair(NamedTuple):
     z_te: complex
 
 
-def q_hat(xi, k_hat):
-    """Vacuum decay wavenumber sqrt(k_hat^2 + xi^2), as an energy in eV."""
-    return np.sqrt(k_hat * k_hat + xi * xi)
+def q_hat(xi, k_hat, eps=1.0):
+    """Decay wavenumber sqrt(k_hat^2 + eps xi^2), as an energy in eV, in a
+    medium of permittivity eps: the vacuum q by default, k_t at eps_t."""
+    return np.sqrt(k_hat * k_hat + eps * xi * xi)
 
 
 def fresnel(eps, xi, k_hat):
@@ -65,9 +66,8 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
 
 
 def _imag_axis_amplitudes(eps: EpsPair, xi, k_hat):
-    kk = k_hat * k_hat
-    return _amplitudes(eps, np.sqrt(kk + xi * xi),
-                       np.sqrt(kk + eps.eps_t * xi * xi), k_hat)
+    return _amplitudes(eps, q_hat(xi, k_hat), q_hat(xi, k_hat, eps.eps_t),
+                       k_hat)
 
 
 def _amplitudes(eps: EpsPair, q, k_t, k):
@@ -86,7 +86,7 @@ def _amplitudes(eps: EpsPair, q, k_t, k):
 def impedance_closed(eps: EpsPair, xi, k_hat):
     """Surface impedances when the permittivities carry no k_z dependence."""
     check_point(xi, k_hat)
-    k_t = np.sqrt(k_hat * k_hat + eps.eps_t * xi * xi)
+    k_t = q_hat(xi, k_hat, eps.eps_t)
     z_tm = (k_hat / eps.eps_l + (k_t - k_hat) / eps.eps_t) / xi
     z_te = xi / k_t
     return ImpedancePair(z_tm, z_te)

@@ -1,14 +1,15 @@
 """Dielectric response models.
 
 Each model is one function of the frequency i*z, written once.  With
-D = omega_p^2 / (z (z + gamma)) the local models (Drude, and plasma at
-gamma = 0) have eps = 1 + D whatever the transverse wavevector.  The
-nonlocal alternative, with velocities v_T, v_L of the order of the Fermi
+D = omega_p^2 / (z (z + gamma)) the local models have eps = 1 + D
+whatever the transverse wavevector; the plasma model is Drude's formula
+at gamma = 0 (Plasma.params), not a second copy of it.  The nonlocal
+alternative, with velocities v_T, v_L of the order of the Fermi
 velocity, has eps_T = 1 + D (1 + v_T k_hat / z) and eps_L = 1 + D / (1 +
 v_L k_hat / z), Drude's exactly at v = 0.  eval_imag_axis takes z = xi,
-eval_real_axis z = -i omega; below omega ~ 1.5e-154 eV the omega^2 of
-z (z + gamma) is subnormal and loses bits (at 1e-160 eV and k_hat = 0,
-Re eps is 1e-5 off).
+eval_real_axis z = -i omega.  The real axis refuses omega outside
+[2^-511, 2^512) eV (about 1.5e-154 to 1.3e154): below it the omega^2 of
+z (z + gamma) is subnormal and loses bits, above it overflows.
 
 Evaluation happens in (frequency, k_hat) variables where k_hat = hbar*c*k_perp
 is the transverse wavevector as an energy in eV.  The incidence-angle picture
@@ -89,6 +90,11 @@ class Plasma:
         if not 0.0 < self.omega_p < math.inf:
             raise DomainError(f"omega_p must be finite and positive, got {self.omega_p}")
 
+    @property
+    def params(self) -> DrudeParams:
+        """The Drude parameters it shares: omega_p at gamma = 0."""
+        return DrudeParams(self.omega_p, 0.0)
+
 
 @dataclass(frozen=True)
 class NonlocalAlt:
@@ -141,11 +147,9 @@ PRESETS = {
 def _eps_at(model: ResponseModel, z, k_hat) -> EpsPair:
     """The pair at frequency i*z, z = xi or -i omega, in the factored forms
     of the module docstring, which keep v = 0 bit-exact Drude."""
-    if isinstance(model, Drude):
-        e = 1.0 + model.params.omega_p**2 / (z * (z + model.params.gamma))
-        return EpsPair(e, e)
-    if isinstance(model, Plasma):
-        e = 1.0 + model.omega_p**2 / (z * z)
+    if isinstance(model, (Drude, Plasma)):         # Plasma: gamma = 0
+        p = model.params
+        e = 1.0 + p.omega_p**2 / (z * (z + p.gamma))
         return EpsPair(e, e)
     if isinstance(model, NonlocalAlt):
         nl, p = model.params, model.params.drude
@@ -183,8 +187,14 @@ def eval_real_axis(model: ResponseModel, omega, k_hat=0.0) -> EpsPair:
     k_hat > gamma*c/v_T; the returned pair is then flagged non-passive.
     omega and k_hat broadcast, each entry with the bits of its scalar call,
     which runs numpy's loops on one entry and returns Python complex.
+    omega must lie in [2^-511, 2^512) eV, where omega^2 is a normal
+    double; outside it z (z + gamma) under- or overflows (DomainError).
     """
     check_point(omega, k_hat, "omega")
+    low, high = np.min(omega), np.max(omega)
+    if low < 2.0**-511 or high >= 2.0**512:
+        raise DomainError("omega must lie in [2^-511, 2^512) eV, got "
+                          f"{low if low < 2.0**-511 else high}")
     if isinstance(model, WithCore):
         raise UnsupportedOperationError(
             "interband cores are tabulated on the imaginary axis only")

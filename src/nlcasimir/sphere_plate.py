@@ -17,9 +17,8 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
+from .constants import TWO_PI
 from .errors import DomainError, ParseError
-
-TWO_PI = 6.283185307179586
 
 BetaLike = Union[float, Callable[[float, float], float]]
 

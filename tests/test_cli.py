@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import nlcasimir
-from nlcasimir import (RELATIONS, Drude, NonlocalAlt, PressureQuery,
-                       SpherePlateConfig, WithCore, build_core_table,
-                       casimir_pressure, casimir_pressures, eval_imag_axis,
-                       force_gradient, gold_default, interband_im_eps,
-                       parse_optical_table)
+from nlcasimir import (RELATIONS, ConvergenceError, Drude, NonlocalAlt,
+                       PressureQuery, SpherePlateConfig, WithCore,
+                       build_core_table, casimir_pressure, casimir_pressures,
+                       eval_imag_axis, force_gradient, gold_default,
+                       interband_im_eps, parse_optical_table)
 from nlcasimir.cli import run
 
 from conftest import OPTICAL_TEXT
@@ -537,6 +537,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["epsilon", "--gamma", "nan"],
                  ["epsilon", "--omega-p", "inf"],
                  ["kk-verify", "--kperp", "nan"],
+                 # empty or unknown lists and empty ranges
+                 ["pressure", "--points", "0", "--a-min", "1", "--a-max", "2"],
+                 ["pressure", "--a-min", "0", "--a-max", "2"],
+                 ["pressure", "--models", ",", "--a-min", "1", "--a-max", "2"],
+                 ["pressure", "--models", "foo", "--a-min", "1",
+                  "--a-max", "2"],
+                 ["kk-verify", "--relations", ","],
                  # so are (a, T) that double arithmetic cannot sum
                  *(["pressure", "--models", "drude", "--points", "1",
                     "--a-min", a, "--a-max", a, "--temp", t]
@@ -569,3 +576,31 @@ def test_usage_errors_exit_2(capsys, tmp_path):
             str(path)])
         assert code == 2 and out == ""
         assert "non-finite" in err
+
+
+def test_a_real_frequency_out_of_range_is_refused_before_any_output(capsys):
+    # omega^2 is not a normal double there: z (z + gamma) under- or overflows
+    for argv in (["epsilon", "--axis", "real", "--gamma", "0", "--omega-min",
+                  "1e-300", "--omega-max", "1e-300", "--points", "1"],
+                 ["reflectance", "--theta", "0.3", "--gamma", "0",
+                  "--omega-min", "1e-200", "--omega-max", "1e-200",
+                  "--points", "1"],
+                 ["reflectance", "--theta", "0.3", "--omega-min", "1e200",
+                  "--omega-max", "1e200", "--points", "1"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        # no NaN row, no overflow warning, no "reflectance vanishes"
+        assert err.startswith("error: omega must lie in [2^-511, 2^512) eV")
+        assert err.count("\n") == 1
+
+
+def test_non_convergence_exits_3(capsys, monkeypatch):
+    def stalled(queries):
+        raise ConvergenceError("wavevector quadrature stalled")
+
+    monkeypatch.setattr(nlcasimir.cli, "casimir_pressures", stalled)
+    code, out, err = run_cli(capsys, [
+        "pressure", "--models", "drude", "--a-min", "1", "--a-max", "1",
+        "--points", "1"])
+    assert (code, out) == (3, "")
+    assert err == "error: wavevector quadrature stalled\n"

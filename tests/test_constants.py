@@ -5,8 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlcasimir import (CONSTANTS, DomainError, MatsubaraPoint, matsubara_xi,
-                       pressure_to_pascal)
+from nlcasimir import CONSTANTS, DomainError, matsubara_xi, pressure_to_pascal
 
 
 def test_constant_values():
@@ -45,13 +44,6 @@ def test_domain_validation():
         matsubara_xi(1, -5.0)
     with pytest.raises(DomainError):
         matsubara_xi(-1, 300.0)
-
-
-def test_matsubara_point_record():
-    point = MatsubaraPoint.at(3, 250.0)
-    assert point.index == 3
-    assert point.temperature == 250.0
-    assert point.xi == matsubara_xi(3, 250.0)
 
 
 def test_pressure_unit_conversion():

@@ -104,6 +104,15 @@ def test_pole_subtractions_are_inert_without_spatial_dispersion():
     assert report.residuals[0] > 0.1
 
 
+def test_relations_are_both_components_times_three_kernels():
+    # perfbench/workloads.py hard-codes this order
+    assert list(RELATIONS) == [
+        "t-real-from-imag", "t-imag-from-real", "t-imag-axis",
+        "l-real-from-imag", "l-imag-from-real", "l-imag-axis"]
+    noted = [rid for rid, rel in RELATIONS.items() if rel.note]
+    assert noted == ["l-imag-from-real"]
+
+
 def test_conducting_limit_is_flagged_not_hidden():
     a, b, c = (verify_kk(relation, GOLD, 0.0) for relation in LONGITUDINAL)
     assert a.max_residual < 1e-6

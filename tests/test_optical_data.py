@@ -15,8 +15,8 @@ GOLD_DRUDE = DrudeParams(9.0, 0.035)
 
 def test_parse_accepts_comments_and_blank_lines(optical_text):
     table = parse_optical_table(optical_text)
-    assert table.min_energy == 0.5
-    assert table.max_energy == 6.0
+    assert table.energy[0] == 0.5
+    assert table.energy[-1] == 6.0
     assert len(table.energy) == 7
     assert table.n[3] == 0.9
     assert table.k[3] == 3.9
@@ -156,10 +156,10 @@ def test_core_table_validation():
         core.value_at(np.array([[1.5], [0.0]]))
 
 
-def test_build_core_table_records_provenance(optical_text):
+def test_build_core_table_evaluates_the_core_on_its_grid(optical_text):
     table = parse_optical_table(optical_text)
     ib = interband_im_eps(table, GOLD_DRUDE)
-    core = build_core_table(ib, [0.1, 1.0, 10.0], provenance="bench/run7")
-    assert core.provenance == "bench/run7"
-    assert len(core.core_values) == 3
-    assert core.core_values[0] == core_imag_axis(ib, 0.1)
+    core = build_core_table(ib, [0.1, 1.0, 10.0])
+    assert core.xi_grid.tolist() == [0.1, 1.0, 10.0]
+    assert core.core_values.tolist() == [core_imag_axis(ib, xi)
+                                         for xi in (0.1, 1.0, 10.0)]

@@ -307,6 +307,12 @@ def test_real_axis_angle_validation():
         real_axis_coeffs(GOLD, 0.5, -0.01)
 
 
+def test_perfect_reflector_real_axis_amplitudes():
+    pair = real_axis_coeffs(PerfectReflector(), 1.0, 0.3)
+    assert pair == (1 + 0j, -1 + 0j)
+    assert all(type(r) is complex for r in pair)
+
+
 def test_local_real_axis_amplitudes_match_fresnel_form():
     # scalar pair: the closed form must collapse to the p/s amplitudes
     om, th = 0.8, 0.6
@@ -334,6 +340,13 @@ def test_reflectance_deviation_oracles():
         assert math.isclose(dev.deviation_te, d_te, rel_tol=1e-9)
         assert 0.0 < dev.reflectance_tm < 1.0
         assert 0.0 < dev.reflectance_te < 1.0
+
+
+def test_reflectance_deviation_refuses_a_vanishing_reference():
+    # at omega_p = 1e-200 eV the reference reflectance is exactly 0
+    with pytest.raises(DomainError, match="reference reflectance vanishes"):
+        reflectance_deviation(GOLD, Drude(DrudeParams(1e-200, 0.035)),
+                              1.0, 0.0)
 
 
 def test_reflectance_deviation_vanishes_at_normal_incidence():

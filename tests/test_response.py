@@ -203,6 +203,18 @@ def test_axis_domain_validation():
             eval_real_axis(DRUDE, bad)
         with pytest.raises(DomainError):
             eval_real_axis(DRUDE, 1.0, bad)
+    # outside [2^-511, 2^512) eV omega^2 is not a normal double, and
+    # z (z + gamma) under- or overflows
+    for bad in (2.0**-511 * (1.0 - 2.0**-53), 2.0**512):
+        for model in (DRUDE, Plasma(9.0), GOLD):
+            with pytest.raises(DomainError, match=r"\[2\^-511, 2\^512\)"):
+                eval_real_axis(model, bad)
+            with pytest.raises(DomainError, match=r"\[2\^-511, 2\^512\)"):
+                eval_real_axis(model, np.array([1.0, bad]), 0.3)
+    for edge in (2.0**-511, 2.0**512 * (1.0 - 2.0**-53)):
+        for model in (DRUDE, GOLD):
+            pair = eval_real_axis(model, edge)
+            assert all(math.isfinite(abs(e)) for e in pair[:2])
 
 
 def test_parameter_validation():
