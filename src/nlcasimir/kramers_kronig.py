@@ -165,7 +165,7 @@ def pv_integral(f: Callable[[float], float], pole: Optional[float] = None, *,
 
 def _resolve_grid(grid, label):
     if grid is None:
-        return np.geomspace(0.05, 5.0, 13)
+        return _DEFAULT_GRID
     g = np.atleast_1d(np.asarray(grid, dtype=float))
     if g.size == 0:
         raise DomainError(f"{label} must not be empty")
@@ -181,6 +181,9 @@ _EDGES = np.concatenate([[0.0], np.geomspace(1e-3, _CUTOFF, 29)])
 # |K15 - G7| is G7's error, far above K15's; much below 1e-6 it meets the
 # rounding of Re eps_T + W / x^2 near x = 0, which bisection only worsens
 _TOL, _ABS_TOL = 1e-6, 1e-12
+# verify_kk's default grid, built once; read-only, since every call shares it
+_DEFAULT_GRID = np.geomspace(0.05, 5.0, 13)
+_DEFAULT_GRID.setflags(write=False)
 
 
 class Kernel(NamedTuple):
@@ -252,10 +255,9 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
     """(break points, pole weight W, 4 pi sigma_0) of checked inputs;
     W = sigma_0 = 0 for eps_L."""
     p = params.drude
-    transverse = part == _EPS_T
-    if transverse and p.gamma <= 0.0:
-        raise DomainError("transverse dispersion relations need gamma > 0")
-    if transverse:
+    if part == _EPS_T:
+        if p.gamma <= 0.0:
+            raise DomainError("transverse dispersion relations need gamma > 0")
         return ((p.gamma,), pole_weight(params, k_hat),
                 FOUR_PI * static_transverse_conductivity(params, k_hat))
     vlk = params.v_l_ratio * k_hat

@@ -8,8 +8,8 @@ alternative, with velocities v_T, v_L of the order of the Fermi
 velocity, has eps_T = 1 + D (1 + v_T k_hat / z) and eps_L = 1 + D / (1 +
 v_L k_hat / z), Drude's exactly at v = 0.  eval_imag_axis takes z = xi,
 eval_real_axis z = -i omega.  The real axis refuses omega outside
-[2^-511, 2^512) eV (about 1.5e-154 to 1.3e154): below it the omega^2 of
-z (z + gamma) is subnormal and loses bits, above it overflows.
+[2^-511, 2^512) eV (about 1.5e-154 to 1.3e154), where omega^2 is not a
+normal double, and inside it any pair that overflows to inf or NaN.
 
 Evaluation happens in (frequency, k_hat) variables where k_hat = hbar*c*k_perp
 is the transverse wavevector as an energy in eV.  The incidence-angle picture
@@ -35,6 +35,8 @@ FOUR_PI = 12.566370614359172
 
 def finite_and_positive(values, allow_zero=False) -> bool:
     """Whether every entry is finite and > 0 (>= 0 with allow_zero)."""
+    if isinstance(values, float):    # np.float64 too; NaN fails both tests
+        return (values >= 0.0 if allow_zero else values > 0.0) and values < math.inf
     v = np.asarray(values)           # min and max propagate NaN: it fails
     low, high = v.min(initial=np.inf), v.max(initial=0.0)
     return (low >= 0.0 if allow_zero else low > 0.0) and high < np.inf
@@ -87,8 +89,7 @@ class Plasma:
     omega_p: float
 
     def __post_init__(self):
-        if not 0.0 < self.omega_p < math.inf:
-            raise DomainError(f"omega_p must be finite and positive, got {self.omega_p}")
+        self.params                  # DrudeParams checks omega_p
 
     @property
     def params(self) -> DrudeParams:
@@ -188,7 +189,7 @@ def eval_real_axis(model: ResponseModel, omega, k_hat=0.0) -> EpsPair:
     omega and k_hat broadcast, each entry with the bits of its scalar call,
     which runs numpy's loops on one entry and returns Python complex.
     omega must lie in [2^-511, 2^512) eV, where omega^2 is a normal
-    double; outside it z (z + gamma) under- or overflows (DomainError).
+    double, and the pair must come out finite, or DomainError.
     """
     check_point(omega, k_hat, "omega")
     low, high = np.min(omega), np.max(omega)
@@ -199,7 +200,16 @@ def eval_real_axis(model: ResponseModel, omega, k_hat=0.0) -> EpsPair:
         raise UnsupportedOperationError(
             "interband cores are tabulated on the imaginary axis only")
     local = not isinstance(model, NonlocalAlt)     # shaped by omega alone
-    eps_l, eps_t, _ = _eps_at(model, -1j * np.atleast_1d(omega), k_hat)
+    z = -1j * np.atleast_1d(omega)
+    try:                # from finite inputs only an overflow gives inf or NaN
+        with np.errstate(over="raise", invalid="raise"):
+            eps_l, eps_t, _ = _eps_at(model, z, k_hat)
+    except FloatingPointError:  # refused only where a component is not finite
+        with np.errstate(all="ignore"):
+            eps_l, eps_t, _ = _eps_at(model, z, k_hat)
+        if not (np.isfinite(eps_l).all() and np.isfinite(eps_t).all()):
+            raise DomainError("the permittivity overflows for omega in "
+                              f"[{low}, {high}] eV") from None
     if np.ndim(omega) == 0 and (local or np.ndim(k_hat) == 0):
         eps_l, eps_t = complex(eps_l[0]), complex(eps_t[0])
     return EpsPair(eps_l, eps_t, local or

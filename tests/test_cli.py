@@ -201,6 +201,41 @@ def test_study_scripts_run(tmp_path):
         assert len(rows) == 3
 
 
+def test_bench_pairs_alternates_sides_on_copies(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        # each run sees a copy of its checkout, never the checkout itself
+        assert not checkout.is_relative_to(tmp_path)
+        assert (checkout / "BENCHMARK.json").is_file()
+        assert seconds == 25          # BENCHMARK.json's run_seconds
+        runs.append((checkout.name, workload, seed))
+        return {"wall_s": 0.5 if checkout.name == "change" else 1.0,
+                "setup_s": 0.2, "peak_rss_mb": 80.0, "ok_frac": 1.0,
+                "correct": True}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    spec_text = json.dumps({"run_seconds": 25,
+                            "workloads": [{"name": "w1"}, {"name": "w2"}]})
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec_text)
+    assert bench.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                       "--pairs", "3", "--seed", "7"]) == 0
+    assert runs == [(side, w, seed) for w in ("w1", "w2") for side, seed in (
+        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+        ("parent", 9), ("change", 9))]
+    out = capsys.readouterr().out
+    assert "w1 wall_s: parent median 1 [1, 1]; change median 0.5 [0.5, 0.5]" in out
+    assert "w2: change wall_s lower in 3 of 3 pairs" in out
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "BENCHMARK.json", "BENCHMARK.json", "change", "parent"]
+
+
 def test_perfbench_tracer_changes_no_output_byte(capsys):
     # perfbench/tracing.py patches names in nlcasimir.cli by name; if one
     # is gone, installing the tracer raises AttributeError
@@ -550,7 +585,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                    for a, t in (("1e-120", "300"), ("1e200", "300"),
                                 ("1", "1e-300"), ("1", "1e300"),
                                 ("1e-90", "1e80"), ("1e-100", "1e204"),
-                                ("2.83e-103", "1e207")))):
+                                ("2.83e-103", "1e207"))),
+                 # and real-axis pairs that overflow inside [2^-511, 2^512)
+                 # eV: the lossless quotient and the nonlocal eps_T
+                 ["epsilon", "--axis", "real", "--gamma", "0", "--omega-min",
+                  "2e-154", "--omega-max", "2e-154", "--points", "1"],
+                 ["reflectance", "--theta", "0.3", "--gamma", "0",
+                  "--omega-min", "2e-154", "--omega-max", "2e-154"],
+                 ["epsilon", "--axis", "real", "--kperp", "0.3",
+                  "--omega-min", "2e-154", "--omega-max", "1e-150"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err

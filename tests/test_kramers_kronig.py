@@ -284,3 +284,13 @@ def test_imag_axis_relation_far_above_the_resonances():
     report = verify_kk("t-imag-axis", GOLD, 0.2, grid=[1e3])
     assert report.max_residual < 1e-6
     assert abs(eval_imag_axis(gold_default(), 1e3, 0.2).eps_t - 1.0) < 1e-3
+
+
+def test_the_default_grid_is_built_once_and_read_only():
+    grid = kk._resolve_grid(None, "omega_grid")
+    assert grid is kk._resolve_grid(None, "xi_grid")
+    assert grid.tobytes() == np.geomspace(0.05, 5.0, 13).tobytes()
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    report = kk.verify_kk("t-imag-axis", GOLD, 0.2)
+    assert report.grid == tuple(np.geomspace(0.05, 5.0, 13))

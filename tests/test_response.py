@@ -6,6 +6,7 @@ Matsubara energy) and k_hat = 1 eV.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from nlcasimir import (CONSTANTS, CoreTable, DomainError, Drude, DrudeParams,
                        PRESETS, UnsupportedOperationError, WithCore,
                        eval_imag_axis, eval_real_axis, gold_default,
                        static_transverse_conductivity)
+from nlcasimir import response
+from nlcasimir.response import finite_and_positive
 
 XI = 0.162433
 GOLD = gold_default()
@@ -215,6 +218,78 @@ def test_axis_domain_validation():
         for model in (DRUDE, GOLD):
             pair = eval_real_axis(model, edge)
             assert all(math.isfinite(abs(e)) for e in pair[:2])
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True),
+       allow_zero=st.booleans(), kind=st.sampled_from([float, np.float64]))
+def test_the_scalar_check_agrees_with_the_array_check(x, allow_zero, kind):
+    # one float takes a pure-Python path; it must accept what numpy accepts
+    assert (finite_and_positive(kind(x), allow_zero)
+            == finite_and_positive(np.array([x]), allow_zero))
+
+
+@pytest.mark.parametrize("x, positive, non_negative", [
+    (0.0, False, True), (-0.0, False, True), (5e-324, True, True),
+    (1.7976931348623157e308, True, True), (-5e-324, False, False),
+    (math.inf, False, False), (-math.inf, False, False),
+    (math.nan, False, False)])
+def test_the_scalar_check_at_its_edges(x, positive, non_negative):
+    for value in (x, np.float64(x), np.array([x])):
+        assert finite_and_positive(value) == positive
+        assert finite_and_positive(value, allow_zero=True) == non_negative
+
+
+def test_a_bad_point_is_named_in_the_message():
+    for kind in (float, np.float64):
+        with pytest.raises(DomainError) as xi:
+            eval_imag_axis(DRUDE, kind(-1.0))
+        assert str(xi.value) == "xi must be finite and positive, got -1.0"
+        with pytest.raises(DomainError) as k_hat:
+            eval_imag_axis(DRUDE, 1.0, kind(math.nan))
+        assert str(k_hat.value) == "k_hat must be finite and >= 0, got nan"
+        with pytest.raises(DomainError) as omega:
+            eval_real_axis(DRUDE, kind(math.inf))
+        assert str(omega.value) == "omega must be finite and positive, got inf"
+
+
+@pytest.mark.filterwarnings("error")     # refused before numpy warns
+def test_a_real_axis_pair_that_overflows_is_refused():
+    # inside [2^-511, 2^512) eV the lossless D = -omega_p^2 / omega^2 still
+    # overflows below about omega_p / 1.3e154, and the nonlocal eps_T's
+    # D v_T k_hat / z a little above that
+    for model, k_hat in ((Plasma(9.0), 0.0), (GOLD, 0.3)):
+        for omega, top in ((2e-154, 2e-154),
+                           (np.array([1.0, 2e-154, 3e-154]), 1.0)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"overflows for omega in [2e-154, {top}] eV")):
+                eval_real_axis(model, omega, k_hat)
+    with pytest.raises(DomainError, match="overflows"):
+        eval_real_axis(GOLD, 1e-150, np.array([0.0, 1e10]))
+    # an overflow that leaves the pair finite is no reason to refuse it:
+    # omega gamma overflows, D rounds to 0 and eps = 1
+    assert eval_real_axis(Drude(DrudeParams(9.0, 1e300)), 1e10)[:2] == (1.0, 1.0)
+    pair = eval_real_axis(Plasma(9.0), 1e-153)       # -8.1e307: still finite
+    assert all(math.isfinite(abs(e)) for e in pair[:2])
+
+
+@given(omega=st.floats(-511.0, 511.99).map(lambda e: 2.0**e),
+       k_hat=st.sampled_from([0.0, 0.3, 5.0]),
+       gamma=st.sampled_from([0.0, 0.035, 1e300]))
+@settings(deadline=None)
+def test_a_real_axis_pair_is_finite_or_refused(omega, k_hat, gamma):
+    # refused exactly where the unchecked evaluation is not finite
+    drude = DrudeParams(9.0, gamma)
+    for model in (Drude(drude), NonlocalAlt(NonlocalParams(drude, 0.01, 0.01))):
+        with np.errstate(all="ignore"):
+            unchecked = response._eps_at(model, -1j * np.array([omega]), k_hat)
+        finite = all(np.isfinite(e).all() for e in unchecked[:2])
+        try:
+            pair = eval_real_axis(model, omega, k_hat)
+        except DomainError:
+            assert not finite
+            continue
+        assert finite and (pair.eps_l, pair.eps_t) == (unchecked[0][0],
+                                                         unchecked[1][0])
 
 
 def test_parameter_validation():
