@@ -16,16 +16,18 @@ from real part, and imaginary-axis value from imaginary part.  Each is
 written once as the eps_T formula with its pole terms (-W / omega^2,
 +4 pi sigma_0 / omega, +W / xi^2), and the eps_L relation is the same
 formula at W = sigma_0 = 0.  RELATIONS is {t, l} x kernels, six relation
-ids, and verify_kk runs one on a grid; it is the only entry point to the
-checks.
+ids, and verify_kk checks any of them on a grid; it is the only entry
+point to the checks.
 
-verify_kk runs a relation as one pass of nlcasimir.quadrature whose rows
-are its grid points w; eval_real_axis takes all nodes as one array.
-Each row starts on [0, 1e-3] eV and 28 log panels up to the cutoff K =
-1e4 eV, split at the break points (gamma, v_L k_hat) and at w, and runs
-in u, its initial panel's index plus the position inside it, so that
-each initial panel gets the same share of the tolerance.  On the real
-axis the pole is subtracted, leaving the integrand finite at x = w:
+verify_kk integrates a relation in one pass of nlcasimir.quadrature whose
+rows are its grid points w; eval_real_axis takes all nodes as one array.
+The relations of one component that a call names share their edges, so
+one eps pass serves all of them until one refines.  Each row starts on
+[0, 1e-3] eV and 28 log panels up to the cutoff K = 1e4 eV, split at the
+break points (gamma, v_L k_hat) and at w, and runs in u, its initial
+panel's index plus the position inside it, so that each initial panel
+gets the same share of the tolerance.  On the real axis the pole is
+subtracted, leaving the integrand finite at x = w:
 
     PV int_0^K g(x) / (x^2 - w^2) dx = int_0^K [g(x) - g(w)] / (x^2 - w^2) dx
                                        + g(w) ln((K - w) / (K + w)) / (2w)
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -271,16 +273,9 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
     return (p.gamma, vlk), 0.0, 0.0
 
 
-def _integrals(kernel, part, model, k_hat, w, hints, weight):
-    """The kernel's integrals over (0, inf) at the grid points w."""
-    def g(x):
-        return kernel.spectral(eval_real_axis(model, x, k_hat)[part], x,
-                               weight)
-
-    shift = w * w if kernel.real_axis else -(w * w)     # f = g / (x^2 - shift)
-    g_ends = g(np.append(w, _CUTOFF))
-    pole = g_ends[:-1] if kernel.real_axis else np.zeros_like(w)
-
+def _integrals(kernels, part, model, k_hat, w, hints, weight):
+    """Yield each kernel's integrals over (0, inf) at the grid points w;
+    the kernels share edges, end values and every pass of equal nodes."""
     n = len(w)
     x_edges = np.sort(np.column_stack([
         np.tile(_EDGES, (n, 1)), np.tile(np.clip(hints, 0.0, _CUTOFF), (n, 1)),
@@ -290,52 +285,78 @@ def _integrals(kernel, part, model, k_hat, w, hints, weight):
         np.diff(x_edges) > 1e-9 * x_edges[:, 1:], axis=1)])
     at_u = x_edges.copy()                  # at_u[row, j]: x at u = j
     at_u[np.arange(n)[:, None], u_edges.astype(int)] = x_edges
+    ends = np.append(w, _CUTOFF)
+    eps_ends = eval_real_axis(model, ends, k_hat)[part]
+    last = [None, None, None]              # rows, u, (x, width, eps)
 
-    def integrand(rows, u):
-        r, j = rows[:, None], u.astype(int)
-        lo, hi = at_u[r, j], at_u[r, j + 1]
-        x = lo + (u - j) * (hi - lo)
-        return (hi - lo) * (g(x) - pole[r]) / (x * x - shift[r])
+    def nodes(rows, u):
+        if not (np.array_equal(rows, last[0]) and np.array_equal(u, last[1])):
+            r, j = rows[:, None], u.astype(int)
+            lo, hi = at_u[r, j], at_u[r, j + 1]
+            x = lo + (u - j) * (hi - lo)
+            last[:] = rows, u, (x, hi - lo, eval_real_axis(model, x, k_hat)[part])
+        return last[2]
 
-    total, _, converged = integrate(integrand, u_edges, _TOL, _ABS_TOL)
-    if not (converged.all() and np.isfinite(total).all()):
-        raise ConvergenceError("dispersion integral stalled", total)
-    if kernel.real_axis:
-        total = total + pole * np.log((_CUTOFF - w) / (_CUTOFF + w)) / (2.0 * w)
-    return total + _CUTOFF * g_ends[-1] / (_CUTOFF * _CUTOFF - shift)
+    for kernel in kernels:
+        shift = w * w if kernel.real_axis else -(w * w)   # f = g / (x^2 - shift)
+        g_ends = kernel.spectral(eps_ends, ends, weight)
+        pole = g_ends[:-1] if kernel.real_axis else np.zeros_like(w)
+
+        def integrand(rows, u):
+            x, width, eps = nodes(rows, u)
+            r = rows[:, None]
+            return (width * (kernel.spectral(eps, x, weight) - pole[r])
+                    / (x * x - shift[r]))
+
+        total, _, converged = integrate(integrand, u_edges, _TOL, _ABS_TOL)
+        if not (converged.all() and np.isfinite(total).all()):
+            raise ConvergenceError("dispersion integral stalled", total)
+        if kernel.real_axis:
+            total = total + pole * np.log((_CUTOFF - w) / (_CUTOFF + w)) / (2.0 * w)
+        yield total + _CUTOFF * g_ends[-1] / (_CUTOFF * _CUTOFF - shift)
 
 
-def verify_kk(relation: str, params: NonlocalParams, k_hat: float, grid=None,
-              *, include_pole_terms: bool = True) -> KKReport:
-    """Check one relation of RELATIONS pointwise on grid.
+def verify_kk(relations: Sequence[str], params: NonlocalParams, k_hat: float,
+              grid=None, *, include_pole_terms: bool = True) -> List[KKReport]:
+    """Check relations of RELATIONS pointwise on grid; one report per id,
+    in the order given.
 
     grid holds omega, or xi for the imaginary-axis relations (default: 13
     points geometric in [0.05, 5] eV).  include_pole_terms = False drops
     the transverse pole subtraction as a negative control; longitudinal
-    relations have none to drop and raise DomainError.
+    relations have none to drop and raise DomainError.  The relations of
+    one component are checked together, eps_T's first, whatever the order.
     """
-    rel = RELATIONS.get(relation)
-    if rel is None:
-        raise DomainError(f"unknown relation id {relation!r}; choose from "
+    unknown = [rid for rid in relations if rid not in RELATIONS]
+    if unknown:
+        raise DomainError(f"unknown relation ids {unknown}; choose from "
                           f"{', '.join(RELATIONS)}")
-    hints, weight, sigma_term = _component_terms(
-        rel.part, params, k_hat, include_pole_terms)
-    kernel = rel.kernel
-    g = _resolve_grid(grid, "omega_grid" if kernel.real_axis else "xi_grid")
-    if kernel.real_axis and not np.all(g < _CUTOFF):
-        raise DomainError(f"omega_grid must lie below the cutoff {_CUTOFF} eV")
+    components = {}                        # table order: eps_T first
+    for rid, rel in RELATIONS.items():
+        if rid in relations:
+            components.setdefault(rel.part, []).append(rid)
     model = NonlocalAlt(params)
-
-    rhs = kernel.rebuild(g, _integrals(kernel, rel.part, model, k_hat, g,
-                                       hints, weight))
-    if include_pole_terms:
-        rhs = rhs + kernel.pole(g, weight, sigma_term)
-    # through the module-global names, so that a patched one sees the call
-    axis = eval_real_axis if kernel.real_axis else eval_imag_axis
-    lhs = kernel.target(axis(model, g, k_hat)[rel.part])
-    residuals = np.abs(lhs - rhs) / np.maximum(
-        np.maximum(abs(lhs), abs(rhs)), 1.0)
     conducting = params.drude.gamma == 0.0 or params.v_l_ratio * k_hat == 0.0
-    return KKReport(relation, float(k_hat), tuple(float(x) for x in g),
-                    tuple(float(r) for r in residuals), float(residuals.max()),
-                    note=rel.note if conducting else "")
+    reports = {}
+    for part, ids in components.items():
+        hints, weight, sigma_term = _component_terms(
+            part, params, k_hat, include_pole_terms)
+        kernels = [RELATIONS[rid].kernel for rid in ids]
+        g = _resolve_grid(grid, "omega_grid" if kernels[0].real_axis else "xi_grid")
+        if any(k.real_axis for k in kernels) and not np.all(g < _CUTOFF):
+            raise DomainError(f"omega_grid must lie below the cutoff {_CUTOFF} eV")
+        integrals = _integrals(kernels, part, model, k_hat, g, hints, weight)
+        for rid, kernel, integral in zip(ids, kernels, integrals):
+            rhs = kernel.rebuild(g, integral)
+            if include_pole_terms:
+                rhs = rhs + kernel.pole(g, weight, sigma_term)
+            # through the module-global names, so that a patched one sees it
+            axis = eval_real_axis if kernel.real_axis else eval_imag_axis
+            lhs = kernel.target(axis(model, g, k_hat)[part])
+            residuals = np.abs(lhs - rhs) / np.maximum(
+                np.maximum(abs(lhs), abs(rhs)), 1.0)
+            reports[rid] = KKReport(
+                rid, float(k_hat), tuple(float(x) for x in g),
+                tuple(float(r) for r in residuals), float(residuals.max()),
+                note=RELATIONS[rid].note if conducting else "")
+    return [reports[rid] for rid in relations]

@@ -33,21 +33,28 @@ if TYPE_CHECKING:
 FOUR_PI = 12.566370614359172
 
 
+def _bounds(values):
+    """(min, max) of the entries, NaN in both if one is NaN."""
+    if isinstance(values, float):    # np.float64 too: no numpy call
+        return values, values
+    v = np.asarray(values)
+    return v.min(initial=np.inf), v.max(initial=0.0)
+
+
 def finite_and_positive(values, allow_zero=False) -> bool:
     """Whether every entry is finite and > 0 (>= 0 with allow_zero)."""
-    if isinstance(values, float):    # np.float64 too; NaN fails both tests
-        return (values >= 0.0 if allow_zero else values > 0.0) and values < math.inf
-    v = np.asarray(values)           # min and max propagate NaN: it fails
-    low, high = v.min(initial=np.inf), v.max(initial=0.0)
-    return (low >= 0.0 if allow_zero else low > 0.0) and high < np.inf
+    low, high = _bounds(values)      # NaN fails both tests
+    return (low >= 0.0 if allow_zero else low > 0.0) and high < math.inf
 
 
 def check_point(x, k_hat, name="xi"):
-    """DomainError unless x > 0 and k_hat >= 0, all finite."""
-    if not finite_and_positive(x):
+    """x's (min, max); DomainError unless x > 0 and k_hat >= 0, all finite."""
+    low, high = _bounds(x)
+    if not (low > 0.0 and high < math.inf):      # finite_and_positive(x)
         raise DomainError(f"{name} must be finite and positive, got {x}")
     if not finite_and_positive(k_hat, allow_zero=True):
         raise DomainError(f"k_hat must be finite and >= 0, got {k_hat}")
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,7 @@ def eval_real_axis(model: ResponseModel, omega, k_hat=0.0) -> EpsPair:
     omega must lie in [2^-511, 2^512) eV, where omega^2 is a normal
     double, and the pair must come out finite, or DomainError.
     """
-    check_point(omega, k_hat, "omega")
-    low, high = np.min(omega), np.max(omega)
+    low, high = check_point(omega, k_hat, "omega")
     if low < 2.0**-511 or high >= 2.0**512:
         raise DomainError("omega must lie in [2^-511, 2^512) eV, got "
                           f"{low if low < 2.0**-511 else high}")

@@ -205,15 +205,16 @@ def test_criterion_8_kk_suite():
     flagged = {}
     controls_inert_at_zero = True
     for k in (0.0, 0.2, 1.0):
-        full = {rel: verify_kk(rel, PARAMS, k) for rel in RELATIONS}
+        full = {rep.relation: rep
+                for rep in verify_kk(list(RELATIONS), PARAMS, k)}
         for rep in full.values():
             name = f"{rep.relation}@k={k}"
             if "conducting limit" in rep.note:
                 flagged[name] = rep
             elif rep.max_residual > worst_relation[1]:
                 worst_relation = (name, rep.max_residual)
-        for rel in transverse:
-            ctrl = verify_kk(rel, PARAMS, k, include_pole_terms=False)
+        for rel, ctrl in zip(transverse, verify_kk(
+                transverse, PARAMS, k, include_pole_terms=False)):
             sigma = rel == "t-imag-from-real"
             if k == 0.0 and sigma:
                 sigma_control = ctrl.residuals

@@ -15,8 +15,8 @@ import nlcasimir
 from nlcasimir import (RELATIONS, ConvergenceError, Drude, NonlocalAlt,
                        PressureQuery, SpherePlateConfig, WithCore,
                        build_core_table, casimir_pressure, casimir_pressures,
-                       eval_imag_axis, force_gradient, gold_default,
-                       interband_im_eps, parse_optical_table)
+                       eval_imag_axis, eval_real_axis, force_gradient,
+                       gold_default, interband_im_eps, parse_optical_table)
 from nlcasimir.cli import run
 
 from conftest import OPTICAL_TEXT
@@ -234,6 +234,44 @@ def test_bench_pairs_alternates_sides_on_copies(tmp_path, monkeypatch, capsys):
     assert "w2: change wall_s lower in 3 of 3 pairs" in out
     assert sorted(p.name for p in tmp_path.rglob("*")) == [
         "BENCHMARK.json", "BENCHMARK.json", "change", "parent"]
+
+
+def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
+                                                     capsys):
+    spec = importlib.util.spec_from_file_location(
+        "cli_matrix", SCRIPTS / "cli_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    runs = []
+
+    def run_command(checkout, argv):
+        # each command runs in a copy of its checkout, with the data files
+        assert not checkout.is_relative_to(tmp_path)
+        assert (checkout / "marker").read_text() == checkout.name
+        assert (checkout / matrix.EXPT).is_file()
+        runs.append((checkout.name, argv))
+        moved = checkout.name == "change" and argv[-1] == "7.9"
+        return (0, "same\n" + ("new" if moved else "old"), "", None)
+
+    monkeypatch.setattr(matrix, "run_command", run_command)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "marker").write_text(side)
+    assert matrix.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    assert runs == [(side, argv) for argv in matrix.MATRIX
+                    for side in ("parent", "change")]
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["nlcasimir kk-verify --kperp 7.9",
+                   "  stdout: 'old' | 'new'",
+                   f"1 of {len(matrix.MATRIX)} commands differ"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "change", "marker", "marker", "parent"]
+    # the matrix names every subcommand, the exit-1 run and a refusal
+    commands = {argv[0] for argv in matrix.MATRIX}
+    assert commands == {"epsilon", "pressure", "gradient", "reflectance",
+                        "kk-verify"}
+    assert ["kk-verify", "--kperp", "0"] in matrix.MATRIX
+    assert ["kk-verify", "--relations", "eq-31"] in matrix.MATRIX
 
 
 def test_perfbench_tracer_changes_no_output_byte(capsys):
@@ -480,6 +518,26 @@ def test_kk_verify_single_relation(capsys, all_reports_at_k02, relation):
     assert len(reports[0]["residuals"]) == len(reports[0]["grid_eV"]) == 13
     # one relation run alone reports what it reports inside --relations all
     assert reports[0] == all_reports_at_k02[relation]
+
+
+def test_kk_verify_evaluates_each_component_in_one_node_pass(capsys,
+                                                            monkeypatch):
+    # the three relations of a component share their panel edges, so one
+    # 2-d pass of eval_real_axis serves them all (it was one per relation)
+    import nlcasimir.kramers_kronig as kk
+
+    passes = []
+
+    def counted(model, omega, k_hat=0.0):
+        if np.ndim(omega) == 2:
+            passes.append(np.shape(omega))
+        return eval_real_axis(model, omega, k_hat)
+
+    monkeypatch.setattr(kk, "eval_real_axis", counted)
+    code, _, _ = run_cli(capsys, ["kk-verify", "--relations", "all",
+                                  "--kperp", "0.2"])
+    assert code == 0
+    assert len(passes) == 2
 
 
 def test_kk_verify_flags_the_conducting_limit(capsys):

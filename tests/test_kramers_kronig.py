@@ -60,8 +60,7 @@ def test_pv_domain_errors():
 
 
 def test_transverse_relations_hold():
-    for relation in TRANSVERSE:
-        report = verify_kk(relation, GOLD, 0.2)
+    for relation, report in zip(TRANSVERSE, verify_kk(TRANSVERSE, GOLD, 0.2)):
         assert report.relation == relation
         assert report.k_hat == 0.2
         assert len(report.grid) == 13
@@ -70,7 +69,7 @@ def test_transverse_relations_hold():
 
 
 def test_longitudinal_relations_hold():
-    a, b, c = (verify_kk(relation, GOLD, 0.2) for relation in LONGITUDINAL)
+    a, b, c = verify_kk(LONGITUDINAL, GOLD, 0.2)
     assert (a.relation, b.relation, c.relation) == (
         "l-real-from-imag", "l-imag-from-real", "l-imag-axis")
     for report in (a, b, c):
@@ -79,28 +78,28 @@ def test_longitudinal_relations_hold():
 
 
 def test_dropping_pole_subtractions_breaks_the_relations():
-    for relation in TRANSVERSE:
-        report = verify_kk(relation, GOLD, 0.2, include_pole_terms=False)
+    for report in verify_kk(TRANSVERSE, GOLD, 0.2, include_pole_terms=False):
         assert report.residuals[0] > 0.1
         assert report.max_residual > 0.1
     # the insulator-form relations carry no subtraction to drop
     for relation in LONGITUDINAL:
         with pytest.raises(DomainError):
-            verify_kk(relation, GOLD, 0.2, include_pole_terms=False)
+            verify_kk([relation], GOLD, 0.2, include_pole_terms=False)
 
 
 def test_pole_subtractions_are_inert_without_spatial_dispersion():
     # the second-order-pole weight carries a factor v_T k_hat, so at
     # k_hat = 0 dropping it changes nothing for these two relations
-    for relation in ("t-real-from-imag", "t-imag-axis"):
-        with_terms = verify_kk(relation, GOLD, 0.0)
-        without = verify_kk(relation, GOLD, 0.0, include_pole_terms=False)
+    relations = ("t-real-from-imag", "t-imag-axis")
+    for with_terms, without in zip(
+            verify_kk(relations, GOLD, 0.0),
+            verify_kk(relations, GOLD, 0.0, include_pole_terms=False)):
         assert with_terms.residuals == without.residuals
         assert with_terms.max_residual < 1e-6
     # the imag-from-real subtraction is the static conductivity, which
     # survives at k_hat = 0; its control must still fail
-    report = verify_kk("t-imag-from-real", GOLD, 0.0,
-                       include_pole_terms=False)
+    report, = verify_kk(["t-imag-from-real"], GOLD, 0.0,
+                        include_pole_terms=False)
     assert report.residuals[0] > 0.1
 
 
@@ -114,7 +113,7 @@ def test_relations_are_both_components_times_three_kernels():
 
 
 def test_conducting_limit_is_flagged_not_hidden():
-    a, b, c = (verify_kk(relation, GOLD, 0.0) for relation in LONGITUDINAL)
+    a, b, c = verify_kk(LONGITUDINAL, GOLD, 0.0)
     assert a.max_residual < 1e-6
     assert c.max_residual < 1e-6
     assert b.max_residual > 0.1
@@ -122,7 +121,7 @@ def test_conducting_limit_is_flagged_not_hidden():
 
 
 def test_lossless_longitudinal_is_also_conducting():
-    _, b, _ = (verify_kk(relation, LOSSLESS, 0.2) for relation in LONGITUDINAL)
+    _, b, _ = verify_kk(LONGITUDINAL, LOSSLESS, 0.2)
     assert b.max_residual > 0.1
     assert "conducting limit" in b.note
 
@@ -130,47 +129,76 @@ def test_lossless_longitudinal_is_also_conducting():
 def test_degenerate_longitudinal_pole_is_rejected():
     for relation in LONGITUDINAL:
         with pytest.raises(DomainError):
-            verify_kk(relation, LOSSLESS, 0.0)
+            verify_kk([relation], LOSSLESS, 0.0)
 
 
 def test_transverse_relations_need_dissipation():
     for relation in TRANSVERSE:
         with pytest.raises(DomainError):
-            verify_kk(relation, LOSSLESS, 0.2)
+            verify_kk([relation], LOSSLESS, 0.2)
         with pytest.raises(DomainError):
-            verify_kk(relation, GOLD, -0.1)
+            verify_kk([relation], GOLD, -0.1)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                verify_kk(relation, GOLD, bad)
+                verify_kk([relation], GOLD, bad)
     for relation in LONGITUDINAL:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                verify_kk(relation, GOLD, bad)
+                verify_kk([relation], GOLD, bad)
 
 
 def test_custom_grids_are_respected():
-    report = verify_kk("t-real-from-imag", GOLD, 0.2, grid=[0.3, 1.1])
+    report, = verify_kk(["t-real-from-imag"], GOLD, 0.2, grid=[0.3, 1.1])
     assert report.grid == (0.3, 1.1)
     assert len(report.residuals) == 2
-    a = verify_kk("l-real-from-imag", GOLD, 0.2, grid=[0.5])
-    c = verify_kk("l-imag-axis", GOLD, 0.2, grid=[0.9, 2.0])
+    a, = verify_kk(["l-real-from-imag"], GOLD, 0.2, grid=[0.5])
+    c, = verify_kk(["l-imag-axis"], GOLD, 0.2, grid=[0.9, 2.0])
     assert a.grid == (0.5,)
     assert c.grid == (0.9, 2.0)
 
 
+@pytest.mark.parametrize("k_hat", [0.0, 0.2, 5.0])
+def test_grouped_reports_equal_single_relation_calls(k_hat):
+    # relations of one component share edges and node passes; each report
+    # must still be the one its relation gives alone.  On the last grid at
+    # k_hat = 0.2 an eps_L kernel refines, so the next kernel's first pass
+    # is not the last one evaluated and is evaluated afresh
+    for grid in (None, [0.3, 1.1], [1e-3, 0.01, 30.0]):
+        alone = {relation: verify_kk([relation], GOLD, k_hat, grid)[0]
+                 for relation in RELATIONS}
+        for ids in (list(RELATIONS), list(RELATIONS)[::-1]):
+            assert verify_kk(ids, GOLD, k_hat, grid) == [alone[r] for r in ids]
+        controls = {relation: verify_kk([relation], GOLD, k_hat, grid,
+                                        include_pole_terms=False)[0]
+                    for relation in TRANSVERSE}
+        for ids in (TRANSVERSE, TRANSVERSE[::-1]):
+            assert verify_kk(ids, GOLD, k_hat, grid, include_pole_terms=False) \
+                == [controls[r] for r in ids]
+
+
+def test_grouped_call_reports_the_transverse_error_first():
+    # both components are refused for a lossless model at k_hat = 0; the
+    # transverse check runs first, whatever the order of the ids
+    for ids in (LONGITUDINAL + TRANSVERSE, TRANSVERSE + LONGITUDINAL):
+        with pytest.raises(DomainError, match="transverse"):
+            verify_kk(ids, LOSSLESS, 0.0)
+    with pytest.raises(DomainError, match="undamped"):
+        verify_kk(LONGITUDINAL, LOSSLESS, 0.0)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
-        verify_kk("t-imag-axis", GOLD, 0.2, grid=[])
+        verify_kk(["t-imag-axis"], GOLD, 0.2, grid=[])
     with pytest.raises(DomainError):
-        verify_kk("t-imag-axis", GOLD, 0.2, grid=[0.0])
+        verify_kk(["t-imag-axis"], GOLD, 0.2, grid=[0.0])
     with pytest.raises(DomainError):
-        verify_kk("l-real-from-imag", GOLD, 0.2, grid=[-1.0])
+        verify_kk(["l-real-from-imag"], GOLD, 0.2, grid=[-1.0])
     with pytest.raises(DomainError):
-        verify_kk("eq-31", GOLD, 0.2)
+        verify_kk(["eq-31"], GOLD, 0.2)
     for bad in (math.nan, math.inf):
         for relation in RELATIONS:
             with pytest.raises(DomainError, match="grid must be finite"):
-                verify_kk(relation, GOLD, 0.2, grid=[0.5, bad])
+                verify_kk([relation], GOLD, 0.2, grid=[0.5, bad])
 
 
 def _python_complex_eps(model, omega, k_hat):
@@ -211,18 +239,21 @@ def test_block_integrals_match_pv_integral(k_hat):
     model = NonlocalAlt(GOLD)
     grid = np.geomspace(0.05, 5.0, 13)
     settings = PVSettings(tol=1e-9)
-    for relation, rel in RELATIONS.items():
-        hints, weight, _ = kk._component_terms(rel.part, GOLD, k_hat, True)
-        got = kk._integrals(rel.kernel, rel.part, model, k_hat, grid, hints,
-                            weight)
-        reference = REFERENCE_INTEGRANDS[relation]
-        for w, value in zip(grid, got):
-            want = pv_integral(
-                lambda x: reference(_python_complex_eps(model, x, k_hat), x,
-                                    w, weight),
-                pole=w if rel.kernel.real_axis else None, settings=settings,
-                lo=0.0, points=hints)
-            assert abs(value - want) <= 1e-8 * max(abs(value), abs(want), 1.0)
+    for ids in (TRANSVERSE, LONGITUDINAL):
+        part = RELATIONS[ids[0]].part
+        kernels = [RELATIONS[relation].kernel for relation in ids]
+        hints, weight, _ = kk._component_terms(part, GOLD, k_hat, True)
+        got = kk._integrals(kernels, part, model, k_hat, grid, hints, weight)
+        for relation, kernel, values in zip(ids, kernels, got):
+            reference = REFERENCE_INTEGRANDS[relation]
+            for w, value in zip(grid, values):
+                want = pv_integral(
+                    lambda x: reference(_python_complex_eps(model, x, k_hat),
+                                        x, w, weight),
+                    pole=w if kernel.real_axis else None, settings=settings,
+                    lo=0.0, points=hints)
+                assert abs(value - want) <= 1e-8 * max(abs(value), abs(want),
+                                                       1.0)
 
 
 def test_array_real_axis_matches_scalar_calls_bit_for_bit():
@@ -264,9 +295,10 @@ def test_real_axis_grid_at_the_cutoff_is_rejected():
                      "l-real-from-imag", "l-imag-from-real"):
         for bad in ([1e4], [0.5, 2e4]):
             with pytest.raises(DomainError, match="cutoff"):
-                verify_kk(relation, GOLD, 0.2, grid=bad)
+                verify_kk([relation], GOLD, 0.2, grid=bad)
     # the imaginary-axis relations have no pole to keep inside the range
-    assert verify_kk("t-imag-axis", GOLD, 0.2, grid=[2e4]).max_residual < 1e-6
+    report, = verify_kk(["t-imag-axis"], GOLD, 0.2, grid=[2e4])
+    assert report.max_residual < 1e-6
 
 
 def test_break_point_next_to_a_grid_point():
@@ -274,14 +306,14 @@ def test_break_point_next_to_a_grid_point():
     # and 0.1 and 1.0 from the panel edges 10^(j/4) 1e-3
     params = NonlocalParams(DrudeParams(9.0, 0.5), GOLD.v_t_ratio,
                             GOLD.v_l_ratio)
-    for relation in RELATIONS:
-        assert verify_kk(relation, params, 0.2).max_residual < 1e-6
-        near = [np.nextafter(0.1, 0.0), np.nextafter(1.0, 2.0)]
-        assert verify_kk(relation, GOLD, 0.2, grid=near).max_residual < 1e-6
+    near = [np.nextafter(0.1, 0.0), np.nextafter(1.0, 2.0)]
+    for report in (verify_kk(list(RELATIONS), params, 0.2)
+                   + verify_kk(list(RELATIONS), GOLD, 0.2, grid=near)):
+        assert report.max_residual < 1e-6
 
 
 def test_imag_axis_relation_far_above_the_resonances():
-    report = verify_kk("t-imag-axis", GOLD, 0.2, grid=[1e3])
+    report, = verify_kk(["t-imag-axis"], GOLD, 0.2, grid=[1e3])
     assert report.max_residual < 1e-6
     assert abs(eval_imag_axis(gold_default(), 1e3, 0.2).eps_t - 1.0) < 1e-3
 
@@ -292,5 +324,5 @@ def test_the_default_grid_is_built_once_and_read_only():
     assert grid.tobytes() == np.geomspace(0.05, 5.0, 13).tobytes()
     with pytest.raises(ValueError):
         grid[0] = 1.0
-    report = kk.verify_kk("t-imag-axis", GOLD, 0.2)
+    report, = kk.verify_kk(["t-imag-axis"], GOLD, 0.2)
     assert report.grid == tuple(np.geomspace(0.05, 5.0, 13))
