@@ -6,7 +6,12 @@
 For each workload, runs `perfbench/run.py` once in each checkout per pair,
 pair i on seed SEED + i, alternating which side goes first, and prints
 each pair's end-to-end metrics, then each side's median and quartiles
-and the number of pairs in which the change's wall_s is lower.  Every
+and the number of pairs in which the change's wall_s is lower.  Two
+verdict lines follow: whether wall_s meets the claim rule (the change
+lower in at least 9 of 10 pairs, and its median below the parent's by
+more than the parent's interquartile distance), and whether any
+end-to-end metric's change median is worse than the parent's by more
+than its BENCHMARK.json bound, relative to the parent's median.  Every
 run lasts PARENT's BENCHMARK.json `run_seconds`, and the workloads
 default to all of that file's.  Each checkout is
 copied, without .git and caches, to a temporary directory and run there,
@@ -48,11 +53,45 @@ def run_text(run):
             + ("" if run["correct"] else " INCORRECT"))
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile)."""
+    return (tuple(statistics.quantiles(values, n=4)) if len(values) > 1
+            else tuple(values) * 3)
+
+
 def summary(values):
     """Median and quartiles, as text."""
-    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                 else values * 3)
-    return f"median {statistics.median(values):.4g} [{q1:.4g}, {q3:.4g}]"
+    q1, median, q3 = quartiles(values)
+    return f"median {median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def claim_verdict(parent, change):
+    """Whether the change's wall_s runs meet the claim rule, as text."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    gap = median - quartiles(change)[1]
+    met = 10 * wins >= 9 * len(parent) and gap > q3 - q1
+    return (f"claim on wall_s {'met' if met else 'not met'}: change lower "
+            f"in {wins} of {len(parent)} pairs (9 of 10 needed), median gap "
+            f"{gap:.4g} against the parent's interquartile distance "
+            f"{q3 - q1:.4g}")
+
+
+def bound_verdict(runs, end_to_end):
+    """Which end-to-end medians the change makes worse than their bound
+    allows, relative to the parent's median, as text."""
+    worse = []
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        parent, change = (statistics.median(r[name] for r in runs[side])
+                          for side in SIDES)
+        loss = (change - parent if metric["better"] == "lower"
+                else parent - change)
+        if loss > bound * abs(parent):
+            worse.append(f"{name} {parent:.4g} -> {change:.4g} "
+                         f"(bound {bound:g})")
+    return ("bounds: " + ("worse beyond bound: " + "; ".join(worse) if worse
+                         else "no end-to-end median worse than its bound"))
 
 
 def main(argv=None):
@@ -93,7 +132,12 @@ def main(argv=None):
             wins = sum(c["wall_s"] < p["wall_s"]
                        for p, c in zip(runs["parent"], runs["change"]))
             print(f"{workload}: change wall_s lower in {wins} of "
-                  f"{args.pairs} pairs", flush=True)
+                  f"{args.pairs} pairs")
+            print(f"{workload} " + claim_verdict(
+                [r["wall_s"] for r in runs["parent"]],
+                [r["wall_s"] for r in runs["change"]]))
+            print(f"{workload} " + bound_verdict(runs, spec["end_to_end"]),
+                  flush=True)
     return 0
 
 

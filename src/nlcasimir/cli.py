@@ -345,9 +345,8 @@ def _report_dict(report: KKReport) -> dict:
 
 
 def _cmd_kk_verify(args) -> tuple:
-    wanted = _select_relations(args.relations)
     k = args.kperp
-    ordered = verify_kk(wanted, args.params, k)
+    ordered = verify_kk(_select_relations(args.relations), args.params, k)
 
     if args.fmt == "json":
         text = json.dumps([_report_dict(r) for r in ordered], indent=2) + "\n"

@@ -23,7 +23,7 @@ verify_kk integrates a relation in one pass of nlcasimir.quadrature whose
 rows are its grid points w; eval_real_axis takes all nodes as one array.
 The relations of one component that a call names share their edges, so
 one eps pass serves all of them until one refines.  Each row starts on
-[0, 1e-3] eV and 28 log panels up to the cutoff K = 1e4 eV, split at the
+[0, 1e-3] eV and 14 log panels up to the cutoff K = 1e4 eV, split at the
 break points (gamma, v_L k_hat) and at w, and runs in u, its initial
 panel's index plus the position inside it, so that each initial panel
 gets the same share of the tolerance.  On the real axis the pole is
@@ -178,9 +178,9 @@ def _resolve_grid(grid, label):
 
 _EPS_L, _EPS_T = 0, 1          # EpsPair fields
 _CUTOFF = PVSettings().cutoff  # eV; the tail estimate K f(K) covers the rest
-# [0, 1e-3] eV, then four log panels per decade up to the cutoff
-_EDGES = np.concatenate([[0.0], np.geomspace(1e-3, _CUTOFF, 29)])
-# |K15 - G7| is G7's error, far above K15's; much below 1e-6 it meets the
+# [0, 1e-3] eV, then two log panels per decade up to the cutoff
+_EDGES = np.concatenate([[0.0], np.geomspace(1e-3, _CUTOFF, 15)])
+# |K21 - G10| is G10's error, far above K21's; much below 1e-6 it meets the
 # rounding of Re eps_T + W / x^2 near x = 0, which bisection only worsens
 _TOL, _ABS_TOL = 1e-6, 1e-12
 # verify_kk's default grid, built once; read-only, since every call shares it
@@ -274,8 +274,8 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
 
 
 def _integrals(kernels, part, model, k_hat, w, hints, weight):
-    """Yield each kernel's integrals over (0, inf) at the grid points w;
-    the kernels share edges, end values and every pass of equal nodes."""
+    """Yield (integrals over (0, inf) at the grid points w, real-axis eps
+    at w) per kernel; they share edges, ends and passes of equal nodes."""
     n = len(w)
     x_edges = np.sort(np.column_stack([
         np.tile(_EDGES, (n, 1)), np.tile(np.clip(hints, 0.0, _CUTOFF), (n, 1)),
@@ -313,7 +313,8 @@ def _integrals(kernels, part, model, k_hat, w, hints, weight):
             raise ConvergenceError("dispersion integral stalled", total)
         if kernel.real_axis:
             total = total + pole * np.log((_CUTOFF - w) / (_CUTOFF + w)) / (2.0 * w)
-        yield total + _CUTOFF * g_ends[-1] / (_CUTOFF * _CUTOFF - shift)
+        yield (total + _CUTOFF * g_ends[-1] / (_CUTOFF * _CUTOFF - shift),
+               eps_ends[:-1])
 
 
 def verify_kk(relations: Sequence[str], params: NonlocalParams, k_hat: float,
@@ -346,13 +347,13 @@ def verify_kk(relations: Sequence[str], params: NonlocalParams, k_hat: float,
         if any(k.real_axis for k in kernels) and not np.all(g < _CUTOFF):
             raise DomainError(f"omega_grid must lie below the cutoff {_CUTOFF} eV")
         integrals = _integrals(kernels, part, model, k_hat, g, hints, weight)
-        for rid, kernel, integral in zip(ids, kernels, integrals):
+        for rid, kernel, (integral, eps_g) in zip(ids, kernels, integrals):
             rhs = kernel.rebuild(g, integral)
             if include_pole_terms:
                 rhs = rhs + kernel.pole(g, weight, sigma_term)
-            # through the module-global names, so that a patched one sees it
-            axis = eval_real_axis if kernel.real_axis else eval_imag_axis
-            lhs = kernel.target(axis(model, g, k_hat)[part])
+            # eps_g has the bits of eval_real_axis(model, g, k_hat)
+            lhs = kernel.target(eps_g if kernel.real_axis
+                                else eval_imag_axis(model, g, k_hat)[part])
             residuals = np.abs(lhs - rhs) / np.maximum(
                 np.maximum(abs(lhs), abs(rhs)), 1.0)
             reports[rid] = KKReport(

@@ -16,8 +16,8 @@ term takes zero_freq_limit at k_hat = c1 u^2.
 casimir_pressures evaluates many queries of one model together.  Each
 sum asks for its terms a block at a time; the blocks of every sum still
 open are stacked and go through the reflection chain in 2-d passes of the
-G7/K15 quadrature of nlcasimir.quadrature, at most _BLOCK rows per pass
-and seven u-panels per term at the start, and rows that miss quad_tol are
+G10/K21 quadrature of nlcasimir.quadrature, at most _BLOCK rows per pass
+and three u-panels per term at the start, and rows that miss quad_tol are
 refined.  The tail integrals of all long sums (below) wait until no sum
 has terms left, and their nodes then share those passes too.  No row's
 quadrature depends on another row, so a query gets the same bits alone
@@ -47,11 +47,11 @@ pick one of two paths, and the prediction sizes the blocks:
   Casimir Effect, OUP 2009).  Delta is the forward difference of step dy,
   taken from the eight terms l0..l0+7, and G_k are the Gregory
   coefficients.  f(y) at a continuous y is the term integral at
-  xi = c1 y.  The y-integral is G7/K15 on _TAIL_PANELS = 7 geometric
+  xi = c1 y.  The y-integral is G10/K21 on _TAIL_PANELS = 5 geometric
   panels; e^{-45} ~ 3e-20 puts its cut below double precision.
-  The error budget adds the |K15 - G7| of the summed terms, those of the
+  The error budget adds the |K21 - G10| of the summed terms, those of the
   eight difference terms times their Gregory weights, the y-integral's
-  |K15 - G7| plus the most its nodes' own errors can add, over dy, and
+  |K21 - G10| plus the most its nodes' own errors can add, over dy, and
   2 |G_6| |Delta^7 f(y0)| for the Gregory remainder sum_{k>=7} G_k
   Delta^k f(y0), which holds where each difference is at most about half
   the one before.  That remainder is up to about 0.4 dy^7 of the sum
@@ -76,7 +76,7 @@ import numpy as np
 
 from .constants import CONSTANTS, matsubara_xi, pressure_to_pascal
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate
+from .quadrature import _NODES, _WEIGHTS, integrate
 from .response import ResponseModel, WithCore
 from .reflection import reflection_pair, zero_freq_limit
 
@@ -84,13 +84,13 @@ APERY = 1.2020569031595943      # zeta(3)
 SPAN = 50.0                     # width of each term's y-integration window
 
 # panel edges in u; finer near the integrand peak
-_U_EDGES = np.sqrt((0.0, 0.5, 2.0, 5.0, 10.0, 18.0, 30.0, SPAN))
-_BLOCK = 64                     # most term rows in one quadrature pass
+_U_EDGES = np.sqrt((0.0, 2.0, 12.0, SPAN))
+_BLOCK = 106                    # most term rows in one quadrature pass
 
 _DIRECT_MAX = 400               # longest predicted sum that is summed directly
 _Y0 = 0.5                       # y above which long sums are integrated
 _TAIL_SPAN = 45.0               # width in y of the tail integral
-_TAIL_PANELS = 7                # its geometric y-panels
+_TAIL_PANELS = 5                # its geometric y-panels
 _KINK_STEP = 1e-3               # y-step of the stencil that measures a kink
 # Gregory coefficients G_1..G_6 of Delta^1..Delta^6 f(y0)
 _GREGORY = (-1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
@@ -206,24 +206,17 @@ def _refined(model, c1, xi, y_lo, quad_tol):
     return _checked(*_integrate(model, quad_tol, c1, xi, y_lo, 0.0), quad_tol)
 
 
-def _terms_at(model, c1, y, quad_tol):
-    """(integrals, errors) of the terms f(y) at continuous y > 0, xi = c1 y,
-    each to quad_tol."""
-    return tuple(map(np.array, _refined(model, c1, c1 * y, y, quad_tol)))
-
-
 def _tail_integral(model, c1, y0, dy, quad_tol):
     """((1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy, its error bound,
     converged), as a generator: it yields (c1, edges) and is sent its row
     of _tail_rows, which integrates the tails of a whole batch together.
 
-    The bound takes |K15 - G7| and what the nodes' own errors can add:
-    f >= 0 and the K15 weights are positive, so at most the largest
-    error/f ratio over the nodes times the value.  For a WithCore model it
-    adds what the kinks np.interp puts into f at the nodes of the core
-    table cost the Euler-Maclaurin identity: dy |J| B_2/2, B_2 <= 1/6, for
-    a jump J of f' beyond the eight difference terms, and up to dy |J|/4
-    among them.  Panel edges sit on the kinks.
+    The bound takes |K21 - G10| and what the nodes' own errors can add
+    (_tail_rows).  For a WithCore model it adds what the kinks np.interp
+    puts into f at the nodes of the core table cost the Euler-Maclaurin
+    identity: dy |J| B_2/2, B_2 <= 1/6, for a jump J of f' beyond the eight
+    difference terms, and up to dy |J|/4 among them.  Panel edges sit on
+    the kinks.
     """
     edges = y0 * ((y0 + _TAIL_SPAN) / y0) ** (
         np.arange(_TAIL_PANELS + 1) / _TAIL_PANELS)
@@ -234,13 +227,13 @@ def _tail_integral(model, c1, y0, dy, quad_tol):
         edges = np.sort(np.concatenate([edges, kinks.clip(y0, edges[-1])]))
         kinks = kinks[(kinks > y0) & (kinks < edges[-1])]
 
-    value, err, ok, ratio = yield c1, edges
-    bound = (err + ratio * value) / dy
+    value, err, ok, node_err = yield c1, edges
+    bound = (err + node_err) / dy
     if len(kinks):
         # J from five points around each kink, exact for a cubic plus
         # J (y - kink)_+
-        y = kinks[:, None] + _KINK_STEP * np.arange(-2.0, 3.0)
-        fy = _terms_at(model, c1, y.ravel(), quad_tol)[0].reshape(y.shape)
+        y = (kinks[:, None] + _KINK_STEP * np.arange(-2.0, 3.0)).ravel()
+        fy = np.reshape(_refined(model, c1, c1 * y, y, quad_tol)[0], (-1, 5))
         jump = np.abs(fy @ (1.0, -4.0, 6.0, -4.0, 1.0)) / (2.0 * _KINK_STEP)
         share = np.where(kinks > y0 + 7.0 * dy, 1.0 / 12.0, 0.25)
         bound += dy * float(share @ jump)
@@ -248,26 +241,36 @@ def _tail_integral(model, c1, y0, dy, quad_tol):
 
 
 def _tail_rows(model, quad_tol, requests):
-    """(int f dy, |K15 - G7|, converged, largest error/f over the nodes)
-    of the tail integrals requests (c1, edges), one integrate row each; a
-    row with a stalled node has not converged.  The nodes of all rows are
+    """(int f dy, |K21 - G10|, converged, node error) of the tail integrals
+    requests (c1, edges), one integrate row each; a row with a stalled node
+    has not converged.  The node error, sum_j w_j half_j err_j over the
+    nodes of a row's final panels (K21 weights, half widths), is the most
+    the nodes' own errors can add, as f >= 0.  The nodes of all rows are
     the terms of one _integrate, so its passes are shared by all rows."""
     c1, edges = map(np.array, zip(*requests))
-    ratio, stalled = np.zeros(len(c1)), np.zeros(len(c1), bool)
+    stalled = np.zeros(len(c1), bool)
+    panels = []         # per pass: rows, centres, half widths, node errors
 
     def f(rows, y):
         nodes = rows.repeat(y.shape[1])
         values, errors, converged = _integrate(
             model, quad_tol, c1[nodes], c1[nodes] * y.ravel(), y.ravel(), 0.0)
-        # values == 0 only where the integrand vanishes, and its error too
-        np.maximum.at(ratio, nodes, np.divide(
-            errors, values, out=np.zeros_like(errors), where=values > 0))
         stalled[nodes[~converged]] = True
+        half = (y[:, -1] - y[:, 0]) / (2.0 * _NODES[-1])
+        panels.append((rows, y[:, len(_NODES) // 2], half,
+                       np.vecdot(errors.reshape(y.shape), _WEIGHTS[0]) * half))
         return values.reshape(y.shape)
 
     values, errors, converged = integrate(f, edges, quad_tol)
+    # integrate bisects: by centre, a bisected panel is followed by a part
+    # of it, at most half/2 above, a final one by a panel about half above
+    rows, centre, half, node_err = map(np.concatenate, zip(*panels))
+    o = np.lexsort((centre, rows))
+    final = np.append((np.diff(rows[o]) != 0)
+                      | (np.diff(centre[o]) > 0.75 * half[o[:-1]]), True)
+    node_err = np.bincount(rows[o][final], node_err[o][final], len(c1))
     return zip(values.tolist(), errors.tolist(),
-               (converged & ~stalled).tolist(), ratio.tolist())
+               (converged & ~stalled).tolist(), node_err.tolist())
 
 
 def _envelope_sum(y, dy):
@@ -312,10 +315,8 @@ def _matsubara_sum(query):
     its terms l >= l0 (see the module docstring).  Either bound is folded
     into quad_error_estimate.
     """
-    a = query.separation
-    temp = query.temperature
-    model = query.model
-    quad_tol = query.quad_tol
+    a, temp, model, quad_tol = (query.separation, query.temperature,
+                                query.model, query.quad_tol)
     xi_1 = matsubara_xi(1, temp)
     dy = 2.0 * a * xi_1 / CONSTANTS.hbar_c
     l_cap = int(80.0 / dy) + 1000

@@ -128,8 +128,7 @@ def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
 
-    xi2 = xi * xi
-    kp2 = k_hat * k_hat
+    xi2, kp2 = xi * xi, k_hat * k_hat
     s = math.sqrt(abs(kp2 + eps_of_k(xi, k_hat, 0.0).eps_t * xi2))
     s2 = s * s
 
@@ -258,10 +257,7 @@ def reflectance_deviation(model_nl: ResponseModel, model_loc: ResponseModel,
     """Reflectances of model_nl and their relative deviations from model_loc."""
     r_nl = real_axis_coeffs(model_nl, omega, theta)
     r_loc = real_axis_coeffs(model_loc, omega, theta)
-    big_tm = abs(r_nl.r_tm) ** 2
-    big_te = abs(r_nl.r_te) ** 2
-    ref_tm = abs(r_loc.r_tm) ** 2
-    ref_te = abs(r_loc.r_te) ** 2
+    big_tm, big_te, ref_tm, ref_te = (abs(r) ** 2 for r in (*r_nl, *r_loc))
     if ref_tm == 0.0 or ref_te == 0.0:
         raise DomainError("reference reflectance vanishes; deviation undefined")
     return ReflectanceDeviation(big_tm, big_te,

@@ -61,8 +61,7 @@ def force_gradient(a_um: float, config: SpherePlateConfig,
         warnings.warn(f"roughness correction {rough:.3g} is not small; "
                       "the second-order treatment is unreliable",
                       stacklevel=2)
-    radius_m = r * 1e-6
-    return -TWO_PI * radius_m * (1.0 + beta * a_um / r) * (1.0 + rough) \
+    return -TWO_PI * (r * 1e-6) * (1.0 + beta * a_um / r) * (1.0 + rough) \
         * pressure(a_um)
 
 

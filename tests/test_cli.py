@@ -214,13 +214,24 @@ def test_bench_pairs_alternates_sides_on_copies(tmp_path, monkeypatch, capsys):
         assert (checkout / "BENCHMARK.json").is_file()
         assert seconds == 25          # BENCHMARK.json's run_seconds
         runs.append((checkout.name, workload, seed))
-        return {"wall_s": 0.5 if checkout.name == "change" else 1.0,
-                "setup_s": 0.2, "peak_rss_mb": 80.0, "ok_frac": 1.0,
-                "correct": True}
+        if checkout.name == "parent":
+            return {"wall_s": 1.0 + 0.1 * seed, "setup_s": 0.2,
+                    "peak_rss_mb": 80.0, "ok_frac": 1.0, "correct": True}
+        # w1: faster in every pair; w2: faster in every pair, but by less
+        # than the parent's spread, and with 25% more memory
+        return {"wall_s": 0.5 if workload == "w1" else 0.99 + 0.1 * seed,
+                "setup_s": 0.2,
+                "peak_rss_mb": 80.0 if workload == "w1" else 100.0,
+                "ok_frac": 1.0, "correct": True}
 
     monkeypatch.setattr(bench, "run_once", run_once)
-    spec_text = json.dumps({"run_seconds": 25,
-                            "workloads": [{"name": "w1"}, {"name": "w2"}]})
+    spec_text = json.dumps({
+        "run_seconds": 25, "workloads": [{"name": "w1"}, {"name": "w2"}],
+        "end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25},
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+            {"name": "ok_frac", "better": "higher", "bound": 0.001},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]})
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(spec_text)
@@ -229,11 +240,48 @@ def test_bench_pairs_alternates_sides_on_copies(tmp_path, monkeypatch, capsys):
     assert runs == [(side, w, seed) for w in ("w1", "w2") for side, seed in (
         ("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
         ("parent", 9), ("change", 9))]
-    out = capsys.readouterr().out
-    assert "w1 wall_s: parent median 1 [1, 1]; change median 0.5 [0.5, 0.5]" in out
+    out = capsys.readouterr().out.splitlines()
+    assert ("w1 wall_s: parent median 1.8 [1.7, 1.9]; "
+            "change median 0.5 [0.5, 0.5]") in out
+    assert "w1: change wall_s lower in 3 of 3 pairs" in out
+    assert ("w1 claim on wall_s met: change lower in 3 of 3 pairs (9 of 10 "
+            "needed), median gap 1.3 against the parent's interquartile "
+            "distance 0.2") in out
+    assert "w1 bounds: no end-to-end median worse than its bound" in out
     assert "w2: change wall_s lower in 3 of 3 pairs" in out
+    assert ("w2 claim on wall_s not met: change lower in 3 of 3 pairs (9 of "
+            "10 needed), median gap 0.01 against the parent's interquartile "
+            "distance 0.2") in out
+    assert ("w2 bounds: worse beyond bound: peak_rss_mb 80 -> 100 "
+            "(bound 0.1)") in out
     assert sorted(p.name for p in tmp_path.rglob("*")) == [
         "BENCHMARK.json", "BENCHMARK.json", "change", "parent"]
+
+
+def test_bench_pairs_verdicts_follow_the_claim_rule_and_the_bounds():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    parent = [1.0 + 0.01 * i for i in range(10)]    # interquartile 0.055
+    for change, met in (
+            ([p - 0.5 for p in parent[:9]] + [2.0], True),     # 9 of 10
+            ([p - 0.5 for p in parent[:8]] + [2.0] * 2, False),
+            ([p - 0.01 for p in parent], False)):               # gap 0.01
+        assert bench.claim_verdict(parent, change).startswith(
+            "claim on wall_s " + ("met:" if met else "not met:"))
+    end_to_end = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+                  {"name": "ok_frac", "better": "higher", "bound": 0.001}]
+    # each bound is relative to the parent's median
+    for wall, ok, worse in ((2.49, 0.9995, ""), (2.51, 0.9995, "wall_s"),
+                            (1.0, 0.9985, "ok_frac")):
+        runs = {"parent": [{"wall_s": 2.0, "ok_frac": 1.0}] * 3,
+                "change": [{"wall_s": wall, "ok_frac": ok}] * 3}
+        verdict = bench.bound_verdict(runs, end_to_end)
+        assert verdict == ("bounds: worse beyond bound: " + {
+            "wall_s": "wall_s 2 -> 2.51 (bound 0.25)",
+            "ok_frac": "ok_frac 1 -> 0.9985 (bound 0.001)"}[worse] if worse
+            else "bounds: no end-to-end median worse than its bound")
 
 
 def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
@@ -523,14 +571,15 @@ def test_kk_verify_single_relation(capsys, all_reports_at_k02, relation):
 def test_kk_verify_evaluates_each_component_in_one_node_pass(capsys,
                                                             monkeypatch):
     # the three relations of a component share their panel edges, so one
-    # 2-d pass of eval_real_axis serves them all (it was one per relation)
+    # 2-d pass of eval_real_axis serves them all (it was one per relation),
+    # and one 1-d call at the grid and the cutoff gives the real-axis
+    # relations their left-hand side too (it was one more per relation)
     import nlcasimir.kramers_kronig as kk
 
-    passes = []
+    passes, ends = [], []
 
     def counted(model, omega, k_hat=0.0):
-        if np.ndim(omega) == 2:
-            passes.append(np.shape(omega))
+        (passes if np.ndim(omega) == 2 else ends).append(np.shape(omega))
         return eval_real_axis(model, omega, k_hat)
 
     monkeypatch.setattr(kk, "eval_real_axis", counted)
@@ -538,6 +587,7 @@ def test_kk_verify_evaluates_each_component_in_one_node_pass(capsys,
                                   "--kperp", "0.2"])
     assert code == 0
     assert len(passes) == 2
+    assert ends == [(14,), (14,)]
 
 
 def test_kk_verify_flags_the_conducting_limit(capsys):

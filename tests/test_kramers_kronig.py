@@ -244,7 +244,7 @@ def test_block_integrals_match_pv_integral(k_hat):
         kernels = [RELATIONS[relation].kernel for relation in ids]
         hints, weight, _ = kk._component_terms(part, GOLD, k_hat, True)
         got = kk._integrals(kernels, part, model, k_hat, grid, hints, weight)
-        for relation, kernel, values in zip(ids, kernels, got):
+        for relation, kernel, (values, _) in zip(ids, kernels, got):
             reference = REFERENCE_INTEGRANDS[relation]
             for w, value in zip(grid, values):
                 want = pv_integral(

@@ -17,8 +17,8 @@ from nlcasimir import (CONSTANTS, ConvergenceError, CoreTable, DomainError,
                        ideal_metal_pressure_zero_t, interband_im_eps,
                        matsubara_xi, parse_optical_table, pressure_to_pascal,
                        reflection_pair, zero_freq_limit)
-from nlcasimir import lifshitz
-from nlcasimir.lifshitz import _BLOCK, _terms_at
+from nlcasimir import lifshitz, quadrature
+from nlcasimir.lifshitz import _BLOCK, _refined
 
 from conftest import OPTICAL_TEXT
 
@@ -68,8 +68,8 @@ def integrated_term(query, l):
     a, temperature = query.separation, query.temperature
     dy = 2.0 * a * matsubara_xi(1, temperature) / CONSTANTS.hbar_c
     c1 = CONSTANTS.hbar_c / (2.0 * a)
-    (value,), _ = _terms_at(query.model, c1, np.array([l * dy]),
-                            query.quad_tol)
+    y = np.array([l * dy])
+    (value,), _ = _refined(query.model, c1, c1 * y, y, query.quad_tol)
     prefactor = -CONSTANTS.boltzmann * temperature / (8.0 * math.pi * a**3)
     return pressure_to_pascal(prefactor) * value
 
@@ -307,15 +307,75 @@ def test_error_estimate_covers_the_cold_matsubara_tail(model, a):
     assert abs(result.pressure - tight.pressure) <= result.quad_error_estimate
 
 
-@pytest.mark.parametrize("model", [DRUDE, GOLD], ids=["drude", "nonlocal"])
-def test_cold_error_estimate_tracks_the_errors_reached(model):
+@pytest.mark.parametrize("model, a", [
+    # a = 1 um keeps the model's name alone as its id
+    pytest.param(model, a, id=name if a == 1.0 else f"{name}-{a}")
+    for name, model in (("drude", DRUDE), ("plasma", PLASMA),
+                        ("nonlocal", GOLD))
+    for a in (0.5, 1.0, 3.0)])
+def test_cold_error_estimate_tracks_the_errors_reached(model, a):
     # the integrated tail's nodes meet quad_tol with room to spare; the
     # estimate carries their own errors, not quad_tol of the value
-    query = PressureQuery(1.0, 1.0, model)
+    query = PressureQuery(a, 1.0, model)
     result = casimir_pressure(query)
     assert len(result.per_term) < result.terms_used
     assert result.quad_error_estimate < 0.1 * query.quad_tol * abs(
         result.pressure)
+
+
+@pytest.mark.parametrize("quad_tol", [1e-9, 1e-13])
+@pytest.mark.parametrize("model", [DRUDE, PLASMA, GOLD],
+                         ids=["drude", "plasma", "nonlocal"])
+def test_the_tail_node_error_is_the_weighted_sum_of_the_node_errors(
+        monkeypatch, model, quad_tol):
+    # a tail row's node error is sum_j w_j half_j err_j over the nodes of
+    # its final panels, never more than the largest err/f over its nodes
+    # times its value; at 1e-13 the rows refine, so some panels are not
+    # final
+    passes = []         # per tail pass: rows, y, f(y), err(y)
+    last = []           # (integrals, errors) of the last _integrate
+
+    def recording_terms(*args):
+        result = terms(*args)
+        last[:] = result
+        return result
+
+    def recording(f, edges, *args, **kwargs):
+        if edges[0, 0] == 0.0:              # a term's u-panels
+            return integrate(f, edges, *args, **kwargs)
+
+        def g(rows, y):
+            values = f(rows, y)
+            passes.append((rows, y, values, last[1].reshape(y.shape)))
+            return values
+        return integrate(g, edges, *args)
+
+    terms, integrate = lifshitz._integrate, lifshitz.integrate
+    monkeypatch.setattr(lifshitz, "_integrate", recording_terms)
+    monkeypatch.setattr(lifshitz, "integrate", recording)
+    requests = [next(lifshitz._tail_integral(
+        model, CONSTANTS.hbar_c / (2.0 * a), 0.5, 0.01, quad_tol))
+        for a in (0.5, 1.0, 3.0)]
+    tails = list(lifshitz._tail_rows(model, quad_tol, requests))
+    assert (len(passes) > 1) == (quad_tol < 1e-12)
+    weights = quadrature._WEIGHTS[0]
+    for row, (value, _, converged, node_err) in enumerate(tails):
+        assert converged
+        panels = [(i, y[k], fy[k], err[k])
+                  for i, (rows, y, fy, err) in enumerate(passes)
+                  for k in np.flatnonzero(rows == row)]
+        # a panel is final unless a later pass has a panel inside it
+        final = [(y, fy, err) for i, y, fy, err in panels
+                 if not any(j > i and y[0] < z[10] < y[-1]
+                            for j, z, _, _ in panels)]
+        half = [(y[-1] - y[0]) / (2.0 * quadrature._NODES[-1])
+                for y, _, _ in final]
+        assert math.isclose(value, sum(h * weights @ fy for h, (_, fy, _)
+                                       in zip(half, final)), rel_tol=1e-13)
+        assert math.isclose(node_err, sum(h * weights @ err for h, (_, _, err)
+                                          in zip(half, final)), rel_tol=1e-13)
+        ratio = max(np.max(err / fy) for _, _, fy, err in panels)
+        assert 0.0 < node_err <= ratio * value
 
 
 @given(a=st.floats(0.5, 7.0), temp=st.floats(1.0, 300.0),
@@ -397,7 +457,8 @@ def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
                                      (PLASMA, 1.0, COLD_GRID),
                                      (CORED, 1.0, [0.5, 1.0]),
                                      # more tails than one call takes
-                                     (DRUDE, 1.0, np.linspace(0.5, 3.0, 70))):
+                                     (DRUDE, 1.0,
+                                      np.linspace(0.5, 3.0, _BLOCK + 6))):
         casimir_pressures([PressureQuery(a, temperature, model)
                            for a in grid])
     assert max(passes) == _BLOCK

@@ -1,0 +1,48 @@
+"""The block integrator: its G10/K21 rule, and rows whose bits are their
+own."""
+
+import numpy as np
+
+from nlcasimir.quadrature import integrate
+
+
+def test_the_rule_integrates_polynomials_of_degree_31_exactly():
+    # K21 is exact to degree 31 and G10 to degree 19; the error estimate
+    # is |K21 - G10|, so it is rounding only where G10 is exact too
+    for degree, g10_exact in ((19, True), (31, False)):
+        def f(rows, x):
+            return (degree + 1) * x ** degree
+
+        total, error, converged = integrate(f, np.array([[0.0, 1.0]]),
+                                            1.0, abs_tol=np.inf)
+        assert abs(total[0] - 1.0) <= 1e-15
+        assert (error[0] <= 1e-15) == g10_exact
+        assert converged[0]
+
+
+def test_a_row_has_the_same_bits_in_any_batch_and_at_any_address():
+    # random node values over e^-15..e^15: one row per integral, one panel
+    # per row, nothing refined; a matrix product over the panels would give
+    # a row bits that depend on its neighbours and on memory alignment
+    rng = np.random.default_rng(16)
+    values = np.exp(rng.uniform(-15.0, 15.0, (35, 64)))    # up to 64 nodes
+    edges = np.column_stack([np.zeros(35), rng.uniform(0.5, 2.0, 35)])
+
+    def block(rows, shift=0):
+        def f(panels, x):
+            # the rows' values, starting `shift` doubles into a fresh buffer
+            buf = np.empty(x.size + shift)
+            out = buf[shift:].reshape(x.shape)
+            out[...] = values[rows][panels, :x.shape[1]]
+            return out
+
+        return integrate(f, edges[rows], 1.0, abs_tol=np.inf)
+
+    whole = block(np.arange(35))
+    assert whole[2].all()
+    for size in (1, 3, 5, 7, 35):
+        for shift in (0, 1, 3):
+            for start in range(0, 35, size):
+                rows = np.arange(start, min(start + size, 35))
+                for got, want in zip(block(rows, shift), whole):
+                    assert np.array_equal(got, want[rows])
