@@ -5,9 +5,10 @@
 Every command of MATRIX runs as `python -m nlcasimir` in a copy of each
 checkout, with the copy's src/ on PYTHONPATH.  The matrix covers every
 subcommand, kk-verify at nine wavevectors and on relation subsets in both
-orders, CSV, JSON and --out, and commands that exit 1 and 2.  Each command
-whose exit code, stdout, stderr or --out file differs between the two is
-printed with the first line that differs; the script exits 1 if any does.
+orders, pressure sweeps at 1 K (the cold_local benchmark) and 300 K, CSV,
+JSON and --out, and commands that exit 1 and 2.  Each command whose exit
+code, stdout, stderr or --out file differs between the two is printed
+with the first line that differs; the script exits 1 if any does.
 Each checkout is copied, without .git and caches, to a temporary
 directory, so nothing is written into either one.  Standard library only.
 """
@@ -65,6 +66,12 @@ MATRIX = (
     ["pressure", "--models", "drude,nonlocal", "--temp", "1", "--a-min", "1",
      "--a-max", "1", "--points", "1", "--format", "json"],
     ["pressure", "--a-min", "1", "--a-max", "inf", "--points", "2"],
+    # the cold_local benchmark, and a 300 K sweep on both paths whose
+    # direct sums end next to their predicted last row
+    ["pressure", "--models", "drude,plasma", "--temp", "1", "--a-min", "0.5",
+     "--a-max", "3", "--points", "30"],
+    ["pressure", "--models", "drude,nonlocal,plasma", "--a-min", "0.02",
+     "--a-max", "20", "--points", "60"],
     ["gradient", "--radius", "150", "--points", "3"],
     ["gradient", "--radius", "150", "--model", "drude", "--expt", EXPT,
      "--out", OUT],

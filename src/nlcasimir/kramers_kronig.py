@@ -22,7 +22,7 @@ point to the checks.
 verify_kk integrates a relation in one pass of nlcasimir.quadrature whose
 rows are its grid points w; eval_real_axis takes all nodes as one array.
 The relations of one component that a call names share their edges, so
-one eps pass serves all of them until one refines.  Each row starts on
+no node pass of eps is evaluated twice for them.  Each row starts on
 [0, 1e-3] eV and 14 log panels up to the cutoff K = 1e4 eV, split at the
 break points (gamma, v_L k_hat) and at w, and runs in u, its initial
 panel's index plus the position inside it, so that each initial panel
@@ -275,7 +275,7 @@ def _component_terms(part, params: NonlocalParams, k_hat, include_pole_terms):
 
 def _integrals(kernels, part, model, k_hat, w, hints, weight):
     """Yield (integrals over (0, inf) at the grid points w, real-axis eps
-    at w) per kernel; they share edges, ends and passes of equal nodes."""
+    at w) per kernel; they share edges, ends and every equal node pass."""
     n = len(w)
     x_edges = np.sort(np.column_stack([
         np.tile(_EDGES, (n, 1)), np.tile(np.clip(hints, 0.0, _CUTOFF), (n, 1)),
@@ -287,15 +287,17 @@ def _integrals(kernels, part, model, k_hat, w, hints, weight):
     at_u[np.arange(n)[:, None], u_edges.astype(int)] = x_edges
     ends = np.append(w, _CUTOFF)
     eps_ends = eval_real_axis(model, ends, k_hat)[part]
-    last = [None, None, None]              # rows, u, (x, width, eps)
+    seen = []                              # per pass: rows, u, (x, width, eps)
 
     def nodes(rows, u):
-        if not (np.array_equal(rows, last[0]) and np.array_equal(u, last[1])):
-            r, j = rows[:, None], u.astype(int)
-            lo, hi = at_u[r, j], at_u[r, j + 1]
-            x = lo + (u - j) * (hi - lo)
-            last[:] = rows, u, (x, hi - lo, eval_real_axis(model, x, k_hat)[part])
-        return last[2]
+        for r, v, hit in seen:
+            if np.array_equal(rows, r) and np.array_equal(u, v):
+                return hit
+        r, j = rows[:, None], u.astype(int)
+        lo, hi = at_u[r, j], at_u[r, j + 1]
+        x = lo + (u - j) * (hi - lo)
+        seen.append((rows, u, (x, hi - lo, eval_real_axis(model, x, k_hat)[part])))
+        return seen[-1][2]
 
     for kernel in kernels:
         shift = w * w if kernel.real_axis else -(w * w)   # f = g / (x^2 - shift)

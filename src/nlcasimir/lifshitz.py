@@ -15,14 +15,15 @@ term takes zero_freq_limit at k_hat = c1 u^2.
 
 casimir_pressures evaluates many queries of one model together.  Each
 sum asks for its terms a block at a time; the blocks of every sum still
-open are stacked and go through the reflection chain in 2-d passes of the
-G10/K21 quadrature of nlcasimir.quadrature, at most _BLOCK rows per pass
-and three u-panels per term at the start, and rows that miss quad_tol are
-refined.  The tail integrals of all long sums (below) wait until no sum
-has terms left, and their nodes then share those passes too.  No row's
-quadrature depends on another row, so a query gets the same bits alone
-or in any batch.  Terms accumulate in ascending l with
-compensated summation, so results are bit-identical run to run.
+open are stacked into one call of the G10/K21 quadrature of
+nlcasimir.quadrature, three u-panels per term at the start, which sends
+them through the reflection chain in 2-d passes of at most 318 panels
+(_BLOCK terms) and refines rows that miss quad_tol.  The tail integrals of
+all long sums (below) wait until no sum has terms left, and their nodes
+then share such passes too.  No row's quadrature depends on another row,
+so a query gets the same bits alone or in any batch.  Terms accumulate in
+ascending l with compensated summation, so results are bit-identical run
+to run.
 
 The Gamma(3, y) envelope e^{-y} P(y), P(y) = y^2 + 2y + 2, of the terms
 predicts how many terms the sum takes at term_tol (_direct_length).  That
@@ -85,7 +86,7 @@ SPAN = 50.0                     # width of each term's y-integration window
 
 # panel edges in u; finer near the integrand peak
 _U_EDGES = np.sqrt((0.0, 2.0, 12.0, SPAN))
-_BLOCK = 106                    # most term rows in one quadrature pass
+_BLOCK = 106                    # most term rows in one block of a sum
 
 _DIRECT_MAX = 400               # longest predicted sum that is summed directly
 _Y0 = 0.5                       # y above which long sums are integrated
@@ -162,17 +163,9 @@ def _summand(y, r):
 
 def _integrate(model, quad_tol, c1, xi, y_lo, floor):
     """(integrals, errors, converged flags) of the terms c1, xi, y_lo (xi
-    None: static terms, y_lo = 0) in passes of at most _BLOCK rows; c1 and
-    floor are scalars or one per row, and rows with |I| + err < floor are
-    not refined."""
-    n = len(y_lo)
-    c1, floor = np.full(n, c1), np.full(n, floor)
-    if n > _BLOCK:
-        parts = [_integrate(model, quad_tol, c1[b],
-                            None if xi is None else xi[b], y_lo[b], floor[b])
-                 for b in map(slice, range(0, n, _BLOCK),
-                              range(_BLOCK, n + _BLOCK, _BLOCK))]
-        return tuple(map(np.concatenate, zip(*parts)))
+    None: static terms, y_lo = 0) in one integrate call; c1 and floor are
+    scalars or one per row, and rows with |I| + err < floor are not refined."""
+    c1 = np.full(len(y_lo), c1)
 
     def u_integrand(rows, u):
         y0 = y_lo[rows][:, None]
@@ -185,8 +178,8 @@ def _integrate(model, quad_tol, c1, xi, y_lo, floor):
                                    k * np.sqrt(2.0 * y0 + uu))
         return 2.0 * u * _summand(y0 + uu, pair)
 
-    # a copy: the view np.broadcast_to makes costs about 3 us more a pass
-    edges = _U_EDGES[None, :].repeat(n, axis=0)
+    # a copy: the view np.broadcast_to makes costs about 3 us more a call
+    edges = _U_EDGES[None, :].repeat(len(y_lo), axis=0)
     return integrate(u_integrand, edges, quad_tol, floor=floor)
 
 
@@ -245,11 +238,12 @@ def _tail_rows(model, quad_tol, requests):
     requests (c1, edges), one integrate row each; a row with a stalled node
     has not converged.  The node error, sum_j w_j half_j err_j over the
     nodes of a row's final panels (K21 weights, half widths), is the most
-    the nodes' own errors can add, as f >= 0.  The nodes of all rows are
-    the terms of one _integrate, so its passes are shared by all rows."""
+    the nodes' own errors can add, as f >= 0.  The nodes of the panels of
+    one integrand call are the terms of one _integrate, whose passes they
+    share."""
     c1, edges = map(np.array, zip(*requests))
     stalled = np.zeros(len(c1), bool)
-    panels = []         # per pass: rows, centres, half widths, node errors
+    panels = []         # per call: rows, centres, half widths, node errors
 
     def f(rows, y):
         nodes = rows.repeat(y.shape[1])
@@ -325,16 +319,16 @@ def _matsubara_sum(query):
     prefactor = -CONSTANTS.boltzmann * temp / (8.0 * math.pi * a**3)
 
     # l0: first integrated term, or None on the direct path; rows: the
-    # terms l = 1, 2, ... the sum is expected to evaluate (on the 300 K
-    # and 1 K sums the envelope has run at most one term short); dy^8 <=
-    # term_tol keeps the Gregory remainder below the direct truncation
+    # terms l = 1, 2, ... the sum is expected to evaluate (at 300, 77 and 5
+    # K no direct sum used more); dy^8 <= term_tol keeps the Gregory
+    # remainder below the direct truncation
     predicted = _direct_length(dy, query.term_tol)
     if predicted > _DIRECT_MAX and dy**8 <= query.term_tol:
         l0 = math.ceil(_Y0 / dy)
         rows = l0 + 7
     else:
         l0 = None
-        rows = math.ceil(predicted) + 4
+        rows = math.ceil(predicted) + 1
 
     (integral0,), (err0,) = _checked(*(yield c1, None, np.zeros(1), 0.0),
                                      quad_tol)
@@ -350,15 +344,16 @@ def _matsubara_sum(query):
     while True:
         l += 1
         if l > end:
-            # blocks end at the expected last row, then take _BLOCK rows
+            # up to _BLOCK rows to the expected last row, then 2, 4 .. _BLOCK
             start = l
-            end = l + _BLOCK - 1 if rows < l else min(rows, l + _BLOCK - 1)
+            end = min(rows if l <= rows else 2 * l - rows, l + _BLOCK - 1)
             xi = xi_1 * np.arange(start, end + 1)
             y_lo = scale * xi
             floor = 0.0 if l0 else query.term_tol * abs(acc)
-            integrals, errors, converged = yield c1, xi, y_lo, floor
+            integrals, errors, converged = (
+                r.tolist() for r in (yield c1, xi, y_lo, floor))
         j = l - start
-        term, err = float(integrals[j]), float(errors[j])
+        term, err = integrals[j], errors[j]
         if not converged[j]:
             (term,), (err,) = _refined(model, c1, xi[j:j + 1], y_lo[j:j + 1],
                                        quad_tol)
@@ -421,7 +416,7 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     them go through the wavevector quadrature together: first every static
     term, then rounds in which each sum still open adds its next block,
     and last one round of every tail integral, one integrate row each.
-    The rows of a round are integrated in passes of at most _BLOCK rows;
+    The rows of a round are one integrate call, which forms its passes;
     each result has the bits of its query alone.  The error of the first
     failing query in input order is raised; differing models or quad_tol
     raise DomainError.
@@ -453,7 +448,7 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
                 break
             (tails if len(block) == 2 else blocks)[i] = block
         if not blocks:      # tails wait until no sum has terms left
-            order = sorted(tails)[:_BLOCK]
+            order = sorted(tails)
             sent = dict(zip(order, _tail_rows(model, quad_tol, [
                 tails.pop(i) for i in order]))) if order else {}
             continue

@@ -1,10 +1,11 @@
 """Adaptive G10/K21 Gauss-Kronrod quadrature of a block of integrals.
 
-Each row of a block is one integral over its own panels, and all panels
-of all rows go through the integrand in one 2-d pass: K21 is the value,
-|K21 - G10| the error estimate.  In a row that misses its tolerance, each
-panel whose error exceeds its width's share of it is bisected, all rows
-at once in another pass, until the row meets it or has _MAX_PANELS panels.
+Each row of a block is one integral over its own panels, and the panels
+of all rows go through the integrand together, in 2-d calls of at most
+_PASS panels: K21 is the value, |K21 - G10| the error estimate.  In a row
+that misses its tolerance, each panel whose error exceeds its width's
+share of it is bisected, all rows at once in another pass, until the row
+meets it or has _MAX_PANELS panels.
 
 quad is scipy's QUADPACK integrator, which only the reference paths
 (pv_integral, impedance_numeric) call; it imports scipy on its first call,
@@ -33,6 +34,7 @@ _NODES = np.concatenate([-np.array(_KRONROD_X[:-1]), _KRONROD_X[::-1]])
 _WEIGHTS = tuple(np.concatenate([w[:-1], w[::-1]]) for w in
                  (np.array(_KRONROD_W), np.insert(_GAUSS_W, range(6), 0.0)))
 _MAX_PANELS = 128               # refinement stops once a row has this many
+_PASS = 318                     # most panels in one integrand call (6,678 nodes)
 
 
 def integrate(f, edges, rel_tol, abs_tol=5e-324, floor=0.0):
@@ -52,10 +54,11 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324, floor=0.0):
     while True:
         # K21 values and |K21 - G10| errors of the new panels, each its own
         # dot product: a matrix product's bits depend on the other panels
-        half = 0.5 * (new[2] - new[1])
-        x = (new[1] + half)[:, None] + half[:, None] * _NODES
-        fx = f(new[0], x)
-        k21, g10 = (np.vecdot(fx, w) * half for w in _WEIGHTS)
+        k21, g10 = np.empty((2, len(new[0])))
+        for s in (slice(i, i + _PASS) for i in range(0, len(new[0]), _PASS)):
+            half = 0.5 * (new[2][s] - new[1][s])
+            fx = f(new[0][s], (new[1][s] + half)[:, None] + half[:, None] * _NODES)
+            k21[s], g10[s] = (np.vecdot(fx, w) * half for w in _WEIGHTS)
         rows, lo, hi, val, err = (
             np.concatenate(pair) for pair in
             zip(kept, new + (k21, np.abs(k21 - g10))))

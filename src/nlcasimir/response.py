@@ -37,7 +37,7 @@ def _bounds(values):
     """(min, max) of the entries, NaN in both if one is NaN."""
     if isinstance(values, float):    # np.float64 too: no numpy call
         return values, values
-    v = np.asarray(values)
+    v = np.asarray(values, dtype=float)  # an int array has no inf initial
     return v.min(initial=np.inf), v.max(initial=0.0)
 
 

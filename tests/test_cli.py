@@ -590,6 +590,25 @@ def test_kk_verify_evaluates_each_component_in_one_node_pass(capsys,
     assert ends == [(14,), (14,)]
 
 
+def test_kk_verify_evaluates_a_repeated_node_pass_once(monkeypatch):
+    # on this grid an eps_L kernel refines, and the next kernel's first
+    # pass equals the component's first: its eps come from that pass
+    import nlcasimir.kramers_kronig as kk
+
+    params, grid = gold_default().params, [1e-3, 0.01, 30.0]
+    alone = [kk.verify_kk([rid], params, 0.2, grid=grid)[0] for rid in RELATIONS]
+    passes = []
+
+    def counted(model, omega, k_hat=0.0):
+        if np.ndim(omega) == 2:
+            passes.append(np.shape(omega))
+        return eval_real_axis(model, omega, k_hat)
+
+    monkeypatch.setattr(kk, "eval_real_axis", counted)
+    assert kk.verify_kk(list(RELATIONS), params, 0.2, grid=grid) == alone
+    assert len(passes) == 3 and passes[1] != passes[2]
+
+
 def test_kk_verify_flags_the_conducting_limit(capsys):
     # at kperp = 0 the longitudinal response degenerates to the conducting
     # form, so the insulator-form imag-from-real check must fail loudly

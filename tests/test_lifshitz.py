@@ -445,23 +445,96 @@ def test_a_batch_has_the_bits_of_single_queries(model, temperature, grid):
 
 
 def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
-    passes = []
+    # integrate forms the passes: no integrand call takes more nodes than
+    # _BLOCK terms of three u-panels of 21 nodes, however large the round
+    points = []
 
     def recording(f, edges, *args, **kwargs):
-        passes.append(edges.shape[0])
-        return integrate(f, edges, *args, **kwargs)
+        def counted(rows, x):
+            points.append(x.size)
+            return f(rows, x)
+        return integrate(counted, edges, *args, **kwargs)
 
     integrate = lifshitz.integrate
     monkeypatch.setattr(lifshitz, "integrate", recording)
     for model, temperature, grid in ((GOLD, 300.0, ROOM_GRID),
                                      (PLASMA, 1.0, COLD_GRID),
                                      (CORED, 1.0, [0.5, 1.0]),
-                                     # more tails than one call takes
+                                     # more tails than one pass takes
                                      (DRUDE, 1.0,
                                       np.linspace(0.5, 3.0, _BLOCK + 6))):
         casimir_pressures([PressureQuery(a, temperature, model)
                            for a in grid])
-    assert max(passes) == _BLOCK
+    assert max(points) == _BLOCK * 63
+
+
+def test_a_round_shares_full_passes_at_every_level(monkeypatch):
+    # a round of more than _BLOCK terms is one integrate call: each level
+    # of refinement of its panels takes ceil(panels / _PASS) integrand
+    # calls, all but the last full; the levels are those of one call per
+    # level, which a _PASS above any level gives
+    size = quadrature._PASS
+    levels_seen = []
+
+    def recording(f, edges, *args, **kwargs):
+        if edges[0, 0] > 0.0:       # a tail's y-panels: its f has state
+            return integrate(f, edges, *args, **kwargs)
+        levels, calls = [], []
+
+        def level(rows, x):
+            levels.append(len(rows))
+            return f(rows, x)
+
+        def call(rows, x):
+            calls.append(len(rows))
+            return f(rows, x)
+
+        with monkeypatch.context() as whole:
+            whole.setattr(quadrature, "_PASS", 10**9)
+            integrate(level, edges, *args, **kwargs)
+        result = integrate(call, edges, *args, **kwargs)
+        assert calls == [min(size, panels - start) for panels in levels
+                         for start in range(0, panels, size)]
+        levels_seen.append(levels)
+        return result
+
+    integrate = lifshitz.integrate
+    monkeypatch.setattr(lifshitz, "integrate", recording)
+    casimir_pressures([PressureQuery(a, 1.0, DRUDE)
+                       for a in np.linspace(0.5, 3.0, _BLOCK + 6)])
+    # the first round holds more than _BLOCK terms, and refines in passes
+    # of more than one call
+    assert levels_seen[1][0] > 3 * _BLOCK
+    assert any(panels > size for levels in levels_seen
+               for panels in levels[1:])
+
+
+def test_follow_up_blocks_give_the_bits_of_one_long_block(monkeypatch):
+    # a direct sum that runs past its expected last row asks for 2, 4, 8
+    # .. more; its terms keep the bits they have in one block that holds
+    # them all
+    results = {}
+    for predicted in (1.0, 100.0):
+        monkeypatch.setattr(lifshitz, "_direct_length",
+                            lambda dy, term_tol, p=predicted: p)
+        for model in (DRUDE, PLASMA, GOLD, CORED):
+            results.setdefault(predicted, []).append(casimir_pressures(
+                [PressureQuery(a, 300.0, model) for a in (0.2, 0.5, 1.0)]))
+    assert results[1.0] == results[100.0]
+    assert all(r.terms_used > 8 for batch in results[1.0] for r in batch)
+
+    blocks = []
+
+    def recording(model, quad_tol, c1, xi, y_lo, floor):
+        blocks.append(len(y_lo))
+        return _integrate(model, quad_tol, c1, xi, y_lo, floor)
+
+    _integrate = lifshitz._integrate
+    monkeypatch.setattr(lifshitz, "_integrate", recording)
+    monkeypatch.setattr(lifshitz, "_direct_length", lambda dy, term_tol: 1.0)
+    casimir_pressure(PressureQuery(0.5, 300.0, DRUDE))
+    # the static term, the expected rows 1 and 2, then 2, 4, 8 .. rows
+    assert blocks[:5] == [1, 2, 2, 4, 8]
 
 
 def test_a_sweep_integrates_its_tails_in_one_call(monkeypatch):

@@ -239,6 +239,22 @@ def test_the_scalar_check_at_its_edges(x, positive, non_negative):
         assert finite_and_positive(value, allow_zero=True) == non_negative
 
 
+def test_integer_input_equals_its_float_form():
+    # an int array has no inf to start np.min from; the check must not
+    # raise OverflowError where the float form works
+    for model in (DRUDE, GOLD):
+        assert eval_real_axis(model, 0.5, 1) == eval_real_axis(model, 0.5, 1.0)
+        assert eval_imag_axis(model, 1, 0.2) == eval_imag_axis(model, 1.0, 0.2)
+        for ints, floats in zip(eval_real_axis(model, np.array([1, 2]), 0.2),
+                                eval_real_axis(model, np.array([1.0, 2.0]), 0.2)):
+            assert np.array_equal(ints, floats)
+    for value in (0, np.array([0, 3]), np.int64(-1)):
+        assert not finite_and_positive(value)
+    assert finite_and_positive(np.array([0, 3]), allow_zero=True)
+    with pytest.raises(DomainError, match="got 0$"):
+        eval_imag_axis(DRUDE, 0)
+
+
 def test_a_bad_point_is_named_in_the_message():
     for kind in (float, np.float64):
         with pytest.raises(DomainError) as xi:
