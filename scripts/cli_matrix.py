@@ -5,7 +5,8 @@
 Every command of MATRIX runs as `python -m nlcasimir` in a copy of each
 checkout, with the copy's src/ on PYTHONPATH.  The matrix covers every
 subcommand, kk-verify at nine wavevectors and on relation subsets in both
-orders, pressure sweeps at 1 K (the cold_local benchmark) and 300 K, CSV,
+orders, pressure sweeps at 1 K (the cold_local benchmark, and cored
+models, whose tail integrals measure the core's kinks) and 300 K, CSV,
 JSON and --out, and commands that exit 1 and 2.  Each command whose exit
 code, stdout, stderr or --out file differs between the two is printed
 with the first line that differs; the script exits 1 if any does.
@@ -72,6 +73,10 @@ MATRIX = (
      "--a-max", "3", "--points", "30"],
     ["pressure", "--models", "drude,nonlocal,plasma", "--a-min", "0.02",
      "--a-max", "20", "--points", "60"],
+    # cored models at 1 K: the tail integrals measure the core's kinks
+    ["pressure", "--models", "drude,nonlocal", "--temp", "1",
+     "--optical-data", OPTICAL, "--a-min", "0.5", "--a-max", "3",
+     "--points", "3"],
     ["gradient", "--radius", "150", "--points", "3"],
     ["gradient", "--radius", "150", "--model", "drude", "--expt", EXPT,
      "--out", OUT],

@@ -20,7 +20,8 @@ nlcasimir.quadrature, three u-panels per term at the start, which sends
 them through the reflection chain in 2-d passes of at most 318 panels
 (_BLOCK terms) and refines rows that miss quad_tol.  The tail integrals of
 all long sums (below) wait until no sum has terms left, and their nodes
-then share such passes too.  No row's quadrature depends on another row,
+then share such passes too.  Every term integral, a kink stencil's too,
+is a row of such a call.  No row's quadrature depends on another row,
 so a query gets the same bits alone or in any batch.  Terms accumulate in
 ascending l with compensated summation, so results are bit-identical run
 to run.
@@ -31,11 +32,10 @@ prediction and dy, functions of a, T and term_tol but not of the model,
 pick one of two paths, and the prediction sizes the blocks:
 
 - Direct (up to _DIRECT_MAX predicted terms, 300 K sums take about 12,
-  and wherever dy^8 > term_tol).  Rows with |I| + err below term_tol
-  times the sum so far are not refined: the stop test ends the sum
-  there.  A row the sum consumes while still missing is refined alone,
-  or raises ConvergenceError.  The dropped tail is bounded by the
-  envelope (_matsubara_tail).
+  and wherever dy^8 > term_tol).  A row that misses quad_tol has
+  stalled at _MAX_PANELS, and raises ConvergenceError if the sum reads
+  it; rows past the term that stops the sum are never read.  The
+  dropped tail is bounded by the envelope (_matsubara_tail).
 - Euler-Maclaurin (longer sums: thousands of terms at 1 K).  Where dy is
   small, f is smooth on the scale of dy above y ~ _Y0.  The terms
   l < l0 = ceil(_Y0/dy) are summed directly, and with y0 = l0 dy
@@ -161,10 +161,10 @@ def _summand(y, r):
     return y * y * (tm / (1.0 - tm) + te / (1.0 - te))
 
 
-def _integrate(model, quad_tol, c1, xi, y_lo, floor):
+def _integrate(model, quad_tol, c1, xi, y_lo):
     """(integrals, errors, converged flags) of the terms c1, xi, y_lo (xi
-    None: static terms, y_lo = 0) in one integrate call; c1 and floor are
-    scalars or one per row, and rows with |I| + err < floor are not refined."""
+    None: static terms, y_lo = 0) in one integrate call; c1 is a scalar or
+    one per row."""
     c1 = np.full(len(y_lo), c1)
 
     def u_integrand(rows, u):
@@ -180,7 +180,7 @@ def _integrate(model, quad_tol, c1, xi, y_lo, floor):
 
     # a copy: the view np.broadcast_to makes costs about 3 us more a call
     edges = _U_EDGES[None, :].repeat(len(y_lo), axis=0)
-    return integrate(u_integrand, edges, quad_tol, floor=floor)
+    return integrate(u_integrand, edges, quad_tol)
 
 
 def _checked(values, errors, converged, quad_tol):
@@ -193,16 +193,12 @@ def _checked(values, errors, converged, quad_tol):
     return values.tolist(), errors.tolist()
 
 
-def _refined(model, c1, xi, y_lo, quad_tol):
-    """(integrals, errors) as lists, each term to quad_tol; ConvergenceError
-    with an estimate if one stalls."""
-    return _checked(*_integrate(model, quad_tol, c1, xi, y_lo, 0.0), quad_tol)
-
-
 def _tail_integral(model, c1, y0, dy, quad_tol):
     """((1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy, its error bound,
-    converged), as a generator: it yields (c1, edges) and is sent its row
-    of _tail_rows, which integrates the tails of a whole batch together.
+    converged), as a generator: for a WithCore model it first yields its
+    kink stencil as a block of terms (c1, xi, y) and is sent its rows, as
+    _matsubara_sum is; then it yields (c1, edges) and is sent its row of
+    _tail_rows, which integrates the tails of a whole batch together.
 
     The bound takes |K21 - G10| and what the nodes' own errors can add
     (_tail_rows).  For a WithCore model it adds what the kinks np.interp
@@ -220,17 +216,17 @@ def _tail_integral(model, c1, y0, dy, quad_tol):
         edges = np.sort(np.concatenate([edges, kinks.clip(y0, edges[-1])]))
         kinks = kinks[(kinks > y0) & (kinks < edges[-1])]
 
-    value, err, ok, node_err = yield c1, edges
-    bound = (err + node_err) / dy
+    kink_bound = 0.0
     if len(kinks):
         # J from five points around each kink, exact for a cubic plus
         # J (y - kink)_+
         y = (kinks[:, None] + _KINK_STEP * np.arange(-2.0, 3.0)).ravel()
-        fy = np.reshape(_refined(model, c1, c1 * y, y, quad_tol)[0], (-1, 5))
+        fy = np.reshape(_checked(*(yield c1, c1 * y, y), quad_tol)[0], (-1, 5))
         jump = np.abs(fy @ (1.0, -4.0, 6.0, -4.0, 1.0)) / (2.0 * _KINK_STEP)
         share = np.where(kinks > y0 + 7.0 * dy, 1.0 / 12.0, 0.25)
-        bound += dy * float(share @ jump)
-    return value / dy, bound, ok
+        kink_bound = dy * float(share @ jump)
+    value, err, ok, node_err = yield c1, edges
+    return value / dy, (err + node_err) / dy + kink_bound, ok
 
 
 def _tail_rows(model, quad_tol, requests):
@@ -248,7 +244,7 @@ def _tail_rows(model, quad_tol, requests):
     def f(rows, y):
         nodes = rows.repeat(y.shape[1])
         values, errors, converged = _integrate(
-            model, quad_tol, c1[nodes], c1[nodes] * y.ravel(), y.ravel(), 0.0)
+            model, quad_tol, c1[nodes], c1[nodes] * y.ravel(), y.ravel())
         stalled[nodes[~converged]] = True
         half = (y[:, -1] - y[:, 0]) / (2.0 * _NODES[-1])
         panels.append((rows, y[:, len(_NODES) // 2], half,
@@ -298,10 +294,10 @@ def _direct_length(dy, term_tol):
 def _matsubara_sum(query):
     """The pressure sum of one query, as a generator.
 
-    It yields each block of terms it needs as (c1, xi, y_lo, floor), xi
-    None for the static term, is sent (integrals, errors, converged) of
-    those rows, yields a long sum's tail as _tail_integral does, and
-    returns the PressureResult.  The l = 0 term carries
+    It yields each block of terms it needs as (c1, xi, y_lo), xi None
+    for the static term, is sent (integrals, errors, converged) of those
+    rows, yields a long sum's tail as _tail_integral does, and returns
+    the PressureResult.  The l = 0 term carries
     weight 1/2 and uses the analytic static reflection limits.  A sum
     predicted to be short, or on a coarse Matsubara step, stops once a
     term falls below term_tol of the accumulated total, and the truncated
@@ -330,8 +326,7 @@ def _matsubara_sum(query):
         l0 = None
         rows = math.ceil(predicted) + 1
 
-    (integral0,), (err0,) = _checked(*(yield c1, None, np.zeros(1), 0.0),
-                                     quad_tol)
+    (integral0,), (err0,) = _checked(*(yield c1, None, np.zeros(1)), quad_tol)
     term = 0.5 * integral0
     acc = term
     comp = 0.0          # Kahan compensation
@@ -349,14 +344,14 @@ def _matsubara_sum(query):
             end = min(rows if l <= rows else 2 * l - rows, l + _BLOCK - 1)
             xi = xi_1 * np.arange(start, end + 1)
             y_lo = scale * xi
-            floor = 0.0 if l0 else query.term_tol * abs(acc)
             integrals, errors, converged = (
-                r.tolist() for r in (yield c1, xi, y_lo, floor))
+                r.tolist() for r in (yield c1, xi, y_lo))
         j = l - start
         term, err = integrals[j], errors[j]
         if not converged[j]:
-            (term,), (err,) = _refined(model, c1, xi[j:j + 1], y_lo[j:j + 1],
-                                       quad_tol)
+            raise ConvergenceError(
+                f"wavevector quadrature stalled above tolerance {quad_tol}",
+                last_estimate=term)
         if l0 and l >= l0:
             ends.append((term, err))
             if l == rows:
@@ -414,8 +409,9 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
 
     Each sum is taken as _matsubara_sum describes, and the terms of all of
     them go through the wavevector quadrature together: first every static
-    term, then rounds in which each sum still open adds its next block,
-    and last one round of every tail integral, one integrate row each.
+    term, then rounds in which each sum still open adds its next block
+    (a kink stencil is one), and last one round of every tail integral,
+    one integrate row each.
     The rows of a round are one integrate call, which forms its passes;
     each result has the bits of its query alone.  The error of the first
     failing query in input order is raised; differing models or quad_tol
@@ -452,12 +448,12 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
             sent = dict(zip(order, _tail_rows(model, quad_tol, [
                 tails.pop(i) for i in order]))) if order else {}
             continue
-        c1, xi, y_lo, floor = zip(*blocks.values())
+        c1, xi, y_lo = zip(*blocks.values())
         sizes = [len(y) for y in y_lo]
         integrals = _integrate(
             model, quad_tol, np.array(c1).repeat(sizes),
             None if xi[0] is None else np.concatenate(xi),
-            np.concatenate(y_lo), np.array(floor).repeat(sizes))
+            np.concatenate(y_lo))
         sent = {i: tuple(r[end - size:end] for r in integrals)
                 for i, end, size in zip(blocks, accumulate(sizes), sizes)}
     if error is not None:

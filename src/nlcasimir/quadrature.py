@@ -37,14 +37,14 @@ _MAX_PANELS = 128               # refinement stops once a row has this many
 _PASS = 318                     # most panels in one integrand call (6,678 nodes)
 
 
-def integrate(f, edges, rel_tol, abs_tol=5e-324, floor=0.0):
+def integrate(f, edges, rel_tol, abs_tol=5e-324):
     """(integrals, error estimates, converged flags) of a block.
 
     f(rows, x) is the integrand at the 2-d nodes x, one row per panel of
     integral rows.  edges holds ascending panel edges, one row per
     integral; a repeated edge makes an empty panel, which is dropped.  A
     row converges at error <= max(rel_tol |I|, abs_tol) and is refined
-    while it misses and |I| + err >= floor."""
+    while it misses."""
     n, m = edges.shape
     span = edges[:, -1] - edges[:, 0]
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
@@ -66,8 +66,7 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324, floor=0.0):
         error = np.bincount(rows, err, n)
         tol = np.maximum(rel_tol * np.abs(total), abs_tol)
         missing = error > tol
-        refine = (missing & (np.abs(total) + error >= floor)
-                  & (np.bincount(rows, minlength=n) < _MAX_PANELS))
+        refine = missing & (np.bincount(rows, minlength=n) < _MAX_PANELS)
         if not refine.any():
             return total, error, ~missing
         # a panel misses when its error exceeds its width's share of tol

@@ -65,9 +65,9 @@ class DrudeParams:
     gamma: float
 
     def __post_init__(self):
-        # written so that NaN and inf fail too
-        if not 0.0 < self.omega_p < math.inf:
-            raise DomainError(f"omega_p must be finite and positive, got {self.omega_p}")
+        # written so that NaN and inf fail too; omega_p^2 must be finite
+        if not 0.0 < self.omega_p < 2.0**512:
+            raise DomainError(f"omega_p must lie in (0, 2^512) eV, got {self.omega_p}")
         if not 0.0 <= self.gamma < math.inf:
             raise DomainError(f"gamma must be finite and >= 0, got {self.gamma}")
 

@@ -36,6 +36,8 @@ class SpherePlateConfig:
         if not (0.0 <= self.delta_sphere < math.inf
                 and 0.0 <= self.delta_plate < math.inf):
             raise DomainError("rms roughness must be finite and >= 0")
+        if not (callable(self.beta) or -math.inf < self.beta < math.inf):
+            raise DomainError(f"beta must be finite or callable, got {self.beta}")
 
 
 def force_gradient(a_um: float, config: SpherePlateConfig,

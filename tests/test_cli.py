@@ -320,6 +320,10 @@ def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
                         "kk-verify"}
     assert ["kk-verify", "--kperp", "0"] in matrix.MATRIX
     assert ["kk-verify", "--relations", "eq-31"] in matrix.MATRIX
+    # and a cold cored sweep, whose tails measure kinks with stencils
+    assert ["pressure", "--models", "drude,nonlocal", "--temp", "1",
+            "--optical-data", matrix.OPTICAL, "--a-min", "0.5", "--a-max", "3",
+            "--points", "3"] in matrix.MATRIX
 
 
 def test_perfbench_tracer_changes_no_output_byte(capsys):
@@ -698,6 +702,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["epsilon", "--kperp", "nan"],
                  ["epsilon", "--gamma", "nan"],
                  ["epsilon", "--omega-p", "inf"],
+                 # an omega_p whose square overflows, in every command
+                 *([*argv, "--omega-p", "1e200"] for argv in (
+                     ["epsilon"],
+                     ["pressure", "--a-min", "1", "--a-max", "2"],
+                     ["gradient", "--radius", "150"],
+                     ["reflectance", "--theta", "0.3"],
+                     ["kk-verify"])),
+                 ["gradient", "--radius", "150", "--beta", "nan"],
+                 ["gradient", "--radius", "150", "--beta", "inf"],
                  ["kk-verify", "--kperp", "nan"],
                  # empty or unknown lists and empty ranges
                  ["pressure", "--points", "0", "--a-min", "1", "--a-max", "2"],

@@ -330,6 +330,19 @@ def test_parameter_validation():
             Plasma(bad)
 
 
+def test_omega_p_is_refused_where_its_square_overflows():
+    # 2^512 eV is the first omega_p whose square is not a finite double
+    edge = 1.3407807929942596e154
+    assert math.nextafter(edge, math.inf) == 2.0**512
+    assert math.isfinite(DrudeParams(edge, 0.035).omega_p ** 2)
+    assert Plasma(edge).params.omega_p == edge
+    for bad in (2.0**512, 1e200):
+        with pytest.raises(DomainError):
+            DrudeParams(bad, 0.035)
+        with pytest.raises(DomainError):
+            Plasma(bad)
+
+
 def test_static_conductivity_oracles():
     p = GOLD.params
     assert math.isclose(static_transverse_conductivity(p, 0.0),

@@ -81,6 +81,9 @@ def test_gradient_domain_validation():
             SpherePlateConfig(radius=50.0, delta_sphere=bad)
         with pytest.raises(DomainError):
             SpherePlateConfig(radius=50.0, delta_plate=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            SpherePlateConfig(radius=50.0, beta=bad)
 
 
 def test_non_finite_separations_are_refused_before_any_pressure():
