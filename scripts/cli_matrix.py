@@ -54,6 +54,8 @@ MATRIX = (
     ["kk-verify", "--relations", "eq-31"],
     ["kk-verify", "--relations", "t-imag-axis,eq-31,l-bad"],
     ["kk-verify", "--relations", ","],
+    ["kk-verify", "--relations", "t-imag-axis", "--format", "csv",
+     "--optical-data", OPTICAL],
     ["kk-verify", "--kperp", "nan"],
     ["kk-verify", "--kperp", "-1"],
     ["epsilon", "--points", "5"],
@@ -77,6 +79,9 @@ MATRIX = (
     ["pressure", "--models", "drude,nonlocal", "--temp", "1",
      "--optical-data", OPTICAL, "--a-min", "0.5", "--a-max", "3",
      "--points", "3"],
+    # Drude at gamma = 0 is plasma, the static term included
+    ["pressure", "--models", "drude,plasma", "--gamma", "0", "--a-min", "1",
+     "--a-max", "3", "--points", "3"],
     ["gradient", "--radius", "150", "--points", "3"],
     ["gradient", "--radius", "150", "--model", "drude", "--expt", EXPT,
      "--out", OUT],

@@ -24,9 +24,8 @@ from .reflection import (ImpedancePair, ReflectanceDeviation, ReflectionPair,
                          impedance_numeric, nonlocal_coeffs, real_axis_coeffs,
                          reflectance_deviation, reflection_pair, zero_freq_limit)
 from .response import (Drude, DrudeParams, EpsPair, NonlocalAlt,
-                       NonlocalParams, PerfectReflector, Plasma, PRESETS,
-                       ResponseModel, WithCore, eval_imag_axis,
-                       eval_real_axis, gold_default,
+                       NonlocalParams, PerfectReflector, Plasma, ResponseModel,
+                       WithCore, eval_imag_axis, eval_real_axis, gold_default,
                        static_transverse_conductivity)
 from .sphere_plate import SpherePlateConfig, force_gradient, parse_experiment_csv
 
@@ -46,7 +45,7 @@ __all__ = [
     "nonlocal_coeffs", "real_axis_coeffs", "reflectance_deviation",
     "reflection_pair", "zero_freq_limit",
     "Drude", "DrudeParams", "EpsPair", "NonlocalAlt", "NonlocalParams",
-    "PerfectReflector", "Plasma", "PRESETS", "ResponseModel", "WithCore",
+    "PerfectReflector", "Plasma", "ResponseModel", "WithCore",
     "eval_imag_axis", "eval_real_axis", "gold_default",
     "static_transverse_conductivity",
     "SpherePlateConfig", "force_gradient", "parse_experiment_csv",

@@ -29,8 +29,8 @@ from .lifshitz import PressureQuery, casimir_pressure, casimir_pressures
 from .optical_data import build_core_table, interband_im_eps, parse_optical_table
 from .reflection import reflectance_deviation
 from .response import (Drude, DrudeParams, NonlocalAlt, NonlocalParams,
-                       Plasma, PRESETS, WithCore, eval_imag_axis,
-                       eval_real_axis)
+                       Plasma, WithCore, eval_imag_axis, eval_real_axis,
+                       gold_default)
 from .sphere_plate import SpherePlateConfig, force_gradient, parse_experiment_csv
 
 _KK_THRESHOLD = 1e-4
@@ -67,23 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "local and spatially dispersive metals.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--preset", default="gold-default",
-                       choices=sorted(PRESETS),
-                       help="named parameter set (default: %(default)s)")
+    def add_common(p, optical_data=True):
         p.add_argument("--omega-p", type=float, default=None,
-                       help="plasma frequency in eV (overrides preset)")
+                       help="plasma frequency in eV (default: gold's 9.0)")
         p.add_argument("--gamma", type=float, default=None,
-                       help="relaxation rate in eV (overrides preset)")
+                       help="relaxation rate in eV (default: gold's 0.035)")
         p.add_argument("--vt", type=float, default=None, metavar="N",
                        help="transverse velocity in units of v_F")
         p.add_argument("--vl", type=float, default=None, metavar="N",
                        help="longitudinal velocity in units of v_F")
         p.add_argument("--temp", type=float, default=300.0,
                        help="temperature in K (default: %(default)s)")
-        p.add_argument("--optical-data", default=None, metavar="PATH",
-                       help="tabulated n,k file; adds an interband core on "
-                            "the imaginary axis")
+        if optical_data:
+            p.add_argument("--optical-data", default=None, metavar="PATH",
+                           help="tabulated n,k file; adds an interband core "
+                                "on the imaginary axis")
+        else:   # reflectance and kk-verify take no core; _meta reads the field
+            p.set_defaults(optical_data=None)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv",
                        help="output format (default: csv; kk-verify: json)")
@@ -127,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rf = sub.add_parser("reflectance", help="real-frequency reflectances "
                           "and their deviation from the local model")
-    add_common(p_rf)
+    add_common(p_rf, optical_data=False)
     p_rf.add_argument("--theta", required=True,
                       help="incidence angle, radians or 'NNdeg'")
     p_rf.add_argument("--omega-min", type=float, default=0.1)
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rf.add_argument("--points", type=int, default=50)
 
     p_kk = sub.add_parser("kk-verify", help="causality-relation residuals")
-    add_common(p_kk)
+    add_common(p_kk, optical_data=False)
     p_kk.add_argument("--kperp", type=float, default=0.0,
                       help="transverse wavevector as hbar c k in eV")
     p_kk.add_argument("--relations", default="all",
@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_params(args) -> NonlocalParams:
-    base = PRESETS[args.preset]().params
+    base = gold_default().params
     vf = CONSTANTS.fermi_velocity_ratio_default
     omega_p = base.drude.omega_p if args.omega_p is None else args.omega_p
     gamma = base.drude.gamma if args.gamma is None else args.gamma
@@ -304,9 +304,6 @@ def _cmd_gradient(args) -> str:
 
 
 def _cmd_reflectance(args) -> str:
-    if args.optical_data:
-        raise DomainError("reflectance works on the real axis; interband "
-                          "cores (--optical-data) are imaginary-axis only")
     theta = _parse_theta(args.theta)
     nonlocal_model = _build_model("nonlocal", args, None)
     local_model = _build_model("drude", args, None)

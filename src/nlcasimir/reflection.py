@@ -7,8 +7,8 @@ Four routes to the same physics live here:
 * surface impedances, both in closed form (valid when the permittivities
   do not depend on the normal wavevector component) and as the defining
   k_z integrals evaluated numerically,
-* analytic zero-frequency limits per model, used for the l = 0 term of
-  the pressure sum, where naive permittivity evaluation is a 0/0 mess.
+* one analytic zero-frequency limit for every model, for the l = 0 term,
+  where naive permittivity evaluation is a 0/0 mess.
 
 On the imaginary axis all quantities are real; on the real axis they are
 complex and the square-root branch is fixed by demanding a transmitted
@@ -165,53 +165,44 @@ def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
 
 
 def zero_freq_limit(model: ResponseModel, k_hat):
-    """Reflection amplitudes in the static limit, per model, analytically.
+    """Reflection amplitudes in the static limit, analytically.
 
     These are 0/0 limits of the finite-frequency formulas; evaluating them
     analytically keeps the l = 0 pressure term free of catastrophic
-    cancellation.  This is also where the models differ most: the local
-    dissipative response loses its TE reflection entirely, the plasma
-    response keeps it, and the nonlocal response retains a small TE
-    amplitude controlled by v_T while its TM amplitude dips below unity
-    through v_L.
+    cancellation.  One formula serves every model: r_TE = (k - s)/(k + s)
+    with s^2 = k^2 + W and W the limit of xi^2 eps_T, which is omega_p^2
+    without dissipation, 0 for the local dissipative response (no TE
+    reflection at all) and the pole weight of the nonlocal response (a
+    small TE amplitude controlled by v_T).  r_TM is 1 but for the nonlocal
+    response, whose TM amplitude dips below unity through v_L.
     """
     if not finite_and_positive(k_hat):
         raise DomainError("zero_freq_limit needs a finite k_hat > 0")
-
+    core = 1.0
+    if isinstance(model, WithCore):
+        # a core shifts the static eps_L, which feeds the nonlocal TM
+        # limit; TE is core-blind (core xi^2 -> 0)
+        model, core = model.inner, float(model.core.core_values[0])
     if isinstance(model, PerfectReflector):
         return ReflectionPair(1.0, -1.0)
-    if isinstance(model, Drude):
-        return ReflectionPair(1.0, 0.0)
-    if isinstance(model, Plasma):
-        root = np.sqrt(k_hat * k_hat + model.omega_p**2)
-        return ReflectionPair(1.0, (k_hat - root) / (k_hat + root))
-    if isinstance(model, NonlocalAlt):
-        return _zero_freq_nonlocal(model, k_hat, core_static=1.0)
-    if isinstance(model, WithCore):
-        inner = model.inner
-        if isinstance(inner, NonlocalAlt):
-            # A finite core shifts the static longitudinal permittivity,
-            # which feeds the TM limit; TE is core-blind (core*xi^2 -> 0).
-            static = float(model.core.core_values[0])
-            return _zero_freq_nonlocal(inner, k_hat, core_static=static)
-        return zero_freq_limit(inner, k_hat)
-    raise TypeError(f"unknown response model {model!r}")
-
-
-def _zero_freq_nonlocal(model: NonlocalAlt, k_hat, core_static):
-    p = model.params
-    g = p.drude.gamma
-    wp2 = p.drude.omega_p**2
-    if g == 0.0:
-        raise DomainError(
-            "static limit of the nonlocal response needs gamma > 0")
-    # TM from the static longitudinal permittivity e0 = core + wp^2/(g vL k):
-    # r_TM = (e0 - 1)/(e0 + 1), regular also at vL = 0 where e0 diverges.
-    vlk = p.v_l_ratio * k_hat * g
-    r_tm = (wp2 + vlk * (core_static - 1.0)) / (wp2 + vlk * (core_static + 1.0))
-    root = np.sqrt(k_hat * k_hat + pole_weight(p, k_hat))
-    r_te = (k_hat - root) / (k_hat + root)
-    return ReflectionPair(r_tm, r_te)
+    r_tm = 1.0
+    if isinstance(model, (Drude, Plasma)):          # Plasma: gamma = 0
+        p = model.params
+        weight = p.omega_p**2 if p.gamma == 0.0 else 0.0
+    elif isinstance(model, NonlocalAlt):
+        p, g = model.params, model.params.drude.gamma
+        if g == 0.0:
+            raise DomainError(
+                "static limit of the nonlocal response needs gamma > 0")
+        # TM is (e0 - 1)/(e0 + 1) at the static eps_L e0 = core + wp^2/(g
+        # vL k), written to stay regular at vL = 0 where e0 diverges
+        wp2, vlk = p.drude.omega_p**2, p.v_l_ratio * k_hat * g
+        r_tm = (wp2 + vlk * (core - 1.0)) / (wp2 + vlk * (core + 1.0))
+        weight = pole_weight(p, k_hat)
+    else:
+        raise TypeError(f"unknown response model {model!r}")
+    root = np.sqrt(k_hat * k_hat + weight)
+    return ReflectionPair(r_tm, (k_hat - root) / (k_hat + root))
 
 
 def reflection_pair(model: ResponseModel, xi, k_hat):

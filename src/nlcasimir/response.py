@@ -141,15 +141,10 @@ class EpsPair(NamedTuple):
 
 
 def gold_default() -> NonlocalAlt:
-    """Au preset: hbar*omega_p = 9.0 eV, hbar*gamma = 35 meV, v_T = v_L = 7 v_F."""
+    """Au parameters: hbar*omega_p = 9.0 eV, hbar*gamma = 35 meV, v_T = v_L = 7 v_F."""
     seven_vf = 7.0 * CONSTANTS.fermi_velocity_ratio_default
     return NonlocalAlt(NonlocalParams(DrudeParams(9.0, 0.035),
                                       v_t_ratio=seven_vf, v_l_ratio=seven_vf))
-
-
-PRESETS = {
-    "gold-default": gold_default,
-}
 
 
 def _eps_at(model: ResponseModel, z, k_hat) -> EpsPair:

@@ -324,6 +324,11 @@ def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
     assert ["pressure", "--models", "drude,nonlocal", "--temp", "1",
             "--optical-data", matrix.OPTICAL, "--a-min", "0.5", "--a-max", "3",
             "--points", "3"] in matrix.MATRIX
+    # Drude at gamma = 0 against plasma, and kk-verify refusing a core
+    assert ["pressure", "--models", "drude,plasma", "--gamma", "0",
+            "--a-min", "1", "--a-max", "3", "--points", "3"] in matrix.MATRIX
+    assert ["kk-verify", "--relations", "t-imag-axis", "--format", "csv",
+            "--optical-data", matrix.OPTICAL] in matrix.MATRIX
 
 
 def test_perfbench_tracer_changes_no_output_byte(capsys):
@@ -437,6 +442,16 @@ def test_pressure_sweep_with_ratio_columns(capsys):
         assert math.isclose(row[4], row[2] / row[1], rel_tol=1e-7)
         assert math.isclose(row[5], row[3] / row[1], rel_tol=1e-7)
         assert row[1] < 0.0 and row[2] < 0.0 and row[3] < 0.0
+
+
+def test_lossless_drude_column_equals_plasma(capsys):
+    code, out, _ = run_cli(capsys, [
+        "pressure", "--models", "drude,plasma", "--gamma", "0", "--a-min",
+        "1", "--a-max", "3", "--points", "3"])
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header[-1] == "ratio_pl_drude"
+    assert [row[-1] for row in rows] == [1.0, 1.0, 1.0]
 
 
 def test_pressure_single_model(capsys):
@@ -733,7 +748,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["reflectance", "--theta", "0.3", "--gamma", "0",
                   "--omega-min", "2e-154", "--omega-max", "2e-154"],
                  ["epsilon", "--axis", "real", "--kperp", "0.3",
-                  "--omega-min", "2e-154", "--omega-max", "1e-150"]):
+                  "--omega-min", "2e-154", "--omega-max", "1e-150"],
+                 # options that are gone or that a command does not read
+                 ["kk-verify", "--optical-data", "/no/such/file.dat"],
+                 ["epsilon", "--preset", "gold-default"]):
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err

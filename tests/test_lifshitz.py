@@ -405,6 +405,15 @@ def test_a_unit_core_gives_the_inner_pressure(a, temp, inner):
     assert cored.pressure == bare.pressure
 
 
+@given(a=st.floats(0.2, 7.0), temp=st.floats(1.0, 300.0))
+@settings(deadline=None, max_examples=10)
+def test_lossless_drude_is_plasma_down_to_the_static_term(a, temp):
+    # Drude at gamma = 0 keeps the l = 0 TE term that gamma > 0 drops
+    lossless = Drude(DrudeParams(PLASMA.omega_p, 0.0))
+    assert (casimir_pressure(PressureQuery(a, temp, lossless))
+            == casimir_pressure(PressureQuery(a, temp, PLASMA)))
+
+
 def _scaled_velocities(scale):
     p = GOLD.params
     return NonlocalAlt(NonlocalParams(p.drude, scale * p.v_t_ratio,

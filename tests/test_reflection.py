@@ -252,6 +252,11 @@ def test_static_limits_of_the_local_models():
     pl = zero_freq_limit(Plasma(9.0), 9.0)
     assert pl.r_tm == 1.0
     assert math.isclose(pl.r_te, -0.1715728752538099, rel_tol=1e-14)
+    # Drude without dissipation is plasma, bare and with a core
+    lossless = Drude(DrudeParams(9.0, 0.0))
+    core = CoreTable(np.array([0.05, 10.0]), np.array([4.0, 1.1]))
+    for model in (lossless, WithCore(lossless, core)):
+        assert zero_freq_limit(model, 9.0) == pl
 
 
 def test_static_limit_of_the_nonlocal_model():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlcasimir import (CONSTANTS, CoreTable, DomainError, Drude, DrudeParams,
                        NonlocalAlt, NonlocalParams, PerfectReflector, Plasma,
-                       PRESETS, UnsupportedOperationError, WithCore,
+                       UnsupportedOperationError, WithCore,
                        eval_imag_axis, eval_real_axis, gold_default,
                        static_transverse_conductivity)
 from nlcasimir import response
@@ -34,8 +34,6 @@ def test_gold_preset_parameters():
     seven_vf = 7.0 * CONSTANTS.fermi_velocity_ratio_default
     assert p.v_t_ratio == seven_vf
     assert p.v_l_ratio == seven_vf
-    assert "gold-default" in PRESETS
-    assert PRESETS["gold-default"]() == GOLD
 
 
 def test_drude_imaginary_axis_oracle():
