@@ -13,18 +13,18 @@ sqrt(2 y_l + u^2), c1 = hbar c/(2a), is free of cancellation and the
 nonlocal eps_T (linear in k_hat) has no square-root branch; the static
 term takes zero_freq_limit at k_hat = c1 u^2.
 
-casimir_pressures evaluates many queries of one model together.  Each
-sum asks for its terms a block at a time; the blocks of every sum still
-open are stacked into one call of the G10/K21 quadrature of
-nlcasimir.quadrature, three u-panels per term at the start, which sends
-them through the reflection chain in 2-d passes of at most 318 panels
-(_BLOCK terms) and refines rows that miss quad_tol.  The tail integrals of
-all long sums (below) wait until no sum has terms left, and their nodes
-then share such passes too.  Every term integral, a kink stencil's too,
-is a row of such a call.  No row's quadrature depends on another row,
-so a query gets the same bits alone or in any batch.  Terms accumulate in
-ascending l with compensated summation, so results are bit-identical run
-to run.
+casimir_pressures evaluates many queries of one model together, in shared
+stages: each sum's scalars, one round of every static term, rounds in
+which every sum still open adds its next block of terms, and one call
+for the tail integrals of all long sums (below).  The rows of a round
+are one call of the G10/K21 quadrature of nlcasimir.quadrature, three
+u-panels per term at the start, which sends them through the reflection
+chain in 2-d passes of at most 318 panels (_BLOCK terms) and refines
+rows that miss quad_tol; the tail integrals' nodes share such passes
+too.  No row's quadrature depends on another row, so a query gets the
+same bits alone or in any batch.  Each sum reads its rows in ascending
+l and accumulates them with compensated summation, so results are
+bit-identical run to run.
 
 The Gamma(3, y) envelope e^{-y} P(y), P(y) = y^2 + 2y + 2, of the terms
 predicts how many terms the sum takes at term_tol (_direct_length).  That
@@ -194,11 +194,12 @@ def _checked(values, errors, converged, quad_tol):
 
 
 def _tail_integral(model, c1, y0, dy, quad_tol):
-    """((1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy, its error bound,
-    converged), as a generator: for a WithCore model it first yields its
-    kink stencil as a block of terms (c1, xi, y) and is sent its rows, as
-    _matsubara_sum is; then it yields (c1, edges) and is sent its row of
-    _tail_rows, which integrates the tails of a whole batch together.
+    """A generator of (1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy: for a
+    WithCore model it first yields its kink stencil as term rows (c1, xi,
+    y) and is sent their (integrals, errors, converged); then it yields
+    (c1, edges), is sent its row of _tail_rows, which integrates the
+    tails of a whole batch together, and yields (the integral over dy,
+    its error bound, converged).
 
     The bound takes |K21 - G10| and what the nodes' own errors can add
     (_tail_rows).  For a WithCore model it adds what the kinks np.interp
@@ -226,7 +227,7 @@ def _tail_integral(model, c1, y0, dy, quad_tol):
         share = np.where(kinks > y0 + 7.0 * dy, 1.0 / 12.0, 0.25)
         kink_bound = dy * float(share @ jump)
     value, err, ok, node_err = yield c1, edges
-    return value / dy, (err + node_err) / dy + kink_bound, ok
+    yield value / dy, (err + node_err) / dy + kink_bound, ok
 
 
 def _tail_rows(model, quad_tol, requests):
@@ -287,136 +288,125 @@ def _direct_length(dy, term_tol):
     log_floor = -math.log(term_tol * total)
     y = 0.0
     for _ in range(8):      # rises to the fixed point; the map contracts
-        y = max(log_floor + math.log(0.5 * (y * y + 2.0 * y + 2.0)), 0.0)
+        y = log_floor + math.log(0.5 * (y * y + 2.0 * y + 2.0))
+        y = 0.0 if y < 0.0 else y       # max(y, 0.0), without its call
     return y / dy
 
 
-def _matsubara_sum(query):
-    """The pressure sum of one query, as a generator.
+class _Sum:
+    """The pressure sum of one query between the rounds of
+    casimir_pressures: the l = 0 term with weight 1/2 and the analytic
+    static reflection limits, then a direct sum that stops once a term
+    falls below term_tol of the total, or a long sum's terms l < l0 and
+    its tail (see the module docstring)."""
 
-    It yields each block of terms it needs as (c1, xi, y_lo), xi None
-    for the static term, is sent (integrals, errors, converged) of those
-    rows, yields a long sum's tail as _tail_integral does, and returns
-    the PressureResult.  The l = 0 term carries
-    weight 1/2 and uses the analytic static reflection limits.  A sum
-    predicted to be short, or on a coarse Matsubara step, stops once a
-    term falls below term_tol of the accumulated total, and the truncated
-    Matsubara tail is bounded by _matsubara_tail; a long one integrates
-    its terms l >= l0 (see the module docstring).  Either bound is folded
-    into quad_error_estimate.
-    """
-    a, temp, model, quad_tol = (query.separation, query.temperature,
-                                query.model, query.quad_tol)
-    xi_1 = matsubara_xi(1, temp)
-    dy = 2.0 * a * xi_1 / CONSTANTS.hbar_c
-    l_cap = int(80.0 / dy) + 1000
-    c1 = CONSTANTS.hbar_c / (2.0 * a)
+    def __init__(self, index, query):
+        a, temp = query.separation, query.temperature
+        self.index, self.query = index, query
+        self.xi_1 = matsubara_xi(1, temp)
+        self.dy = dy = 2.0 * a * self.xi_1 / CONSTANTS.hbar_c
+        self.scale = 2.0 * a / CONSTANTS.hbar_c
+        self.c1 = CONSTANTS.hbar_c / (2.0 * a)
+        self.l_cap = int(80.0 / dy) + 1000
+        self.prefactor = -CONSTANTS.boltzmann * temp / (8.0 * math.pi * a**3)
+        # l0: first integrated term, or None on the direct path; rows: the
+        # terms l = 1, 2, ... the sum is expected to evaluate (at 300, 77 and
+        # 5 K no direct sum used more); dy^8 <= term_tol keeps the Gregory
+        # remainder below the direct truncation
+        predicted = _direct_length(dy, query.term_tol)
+        if predicted > _DIRECT_MAX and dy**8 <= query.term_tol:
+            self.l0 = math.ceil(_Y0 / dy)
+            self.rows = self.l0 + 7
+        else:
+            self.l0 = None
+            self.rows = math.ceil(predicted) + 1
+        self.ends = []      # (term, err) of l0..l0+7, Euler-Maclaurin path
+        self.tail = None    # its _tail_integral, once its terms are read
+        self.acc = self.comp = self.quad_err = 0.0  # comp: Kahan compensation
+        self.terms = []
+        self.l, self.end = -1, 0    # the last term read, and the block's
 
-    prefactor = -CONSTANTS.boltzmann * temp / (8.0 * math.pi * a**3)
+    def read(self, values, errors, ok, row):
+        """Read the block's rows of a round's lists, from row on, in
+        ascending l; True if the sum needs another block, which it sets:
+        up to _BLOCK rows to the expected last row, then 2, 4 .. _BLOCK."""
+        query, l0, terms, l_cap = self.query, self.l0, self.terms, self.l_cap
+        acc, comp, quad_err = self.acc, self.comp, self.quad_err
+        j = row - self.l - 1        # term l is row j + l
+        done = bool(l0) and self.end == self.rows   # the head's last block
+        for l in range(self.l + 1, self.end + 1):
+            term, err = values[j + l], errors[j + l]
+            if not ok[j + l]:
+                raise ConvergenceError("wavevector quadrature stalled above "
+                                       f"tolerance {query.quad_tol}",
+                                       last_estimate=term)
+            if not l:                   # the static term has weight 1/2
+                term, err = 0.5 * term, 0.5 * err
+            elif l0 and l >= l0:
+                self.ends.append((term, err))
+                continue
+            quad_err += err
+            terms.append(term)
 
-    # l0: first integrated term, or None on the direct path; rows: the
-    # terms l = 1, 2, ... the sum is expected to evaluate (at 300, 77 and 5
-    # K no direct sum used more); dy^8 <= term_tol keeps the Gregory
-    # remainder below the direct truncation
-    predicted = _direct_length(dy, query.term_tol)
-    if predicted > _DIRECT_MAX and dy**8 <= query.term_tol:
-        l0 = math.ceil(_Y0 / dy)
-        rows = l0 + 7
-    else:
-        l0 = None
-        rows = math.ceil(predicted) + 1
+            # compensated accumulation, fixed ascending order
+            y = term - comp
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
 
-    (integral0,), (err0,) = _checked(*(yield c1, None, np.zeros(1)), quad_tol)
-    term = 0.5 * integral0
-    acc = term
-    comp = 0.0          # Kahan compensation
-    quad_err = 0.5 * err0
-    raw_terms = [term]
-    ends = []           # (term, err) of l0..l0+7 on the Euler-Maclaurin path
-    scale = 2.0 * a / CONSTANTS.hbar_c
-
-    l = end = 0
-    while True:
-        l += 1
-        if l > end:
-            # up to _BLOCK rows to the expected last row, then 2, 4 .. _BLOCK
-            start = l
-            end = min(rows if l <= rows else 2 * l - rows, l + _BLOCK - 1)
-            xi = xi_1 * np.arange(start, end + 1)
-            y_lo = scale * xi
-            integrals, errors, converged = (
-                r.tolist() for r in (yield c1, xi, y_lo))
-        j = l - start
-        term, err = integrals[j], errors[j]
-        if not converged[j]:
-            raise ConvergenceError(
-                f"wavevector quadrature stalled above tolerance {quad_tol}",
-                last_estimate=term)
-        if l0 and l >= l0:
-            ends.append((term, err))
-            if l == rows:
+            if not l0 and abs(term) < query.term_tol * abs(acc):
+                done = True
                 break
-            continue
-        quad_err += err
-        raw_terms.append(term)
+            if l >= l_cap:
+                raise ConvergenceError(
+                    f"Matsubara sum still above term_tol at l = {l} (a = "
+                    f"{query.separation} um, T = {query.temperature} K)",
+                    last_estimate=pressure_to_pascal(self.prefactor * acc))
+        self.acc, self.comp, self.quad_err, self.l = acc, comp, quad_err, l
+        if not done:
+            rows = self.rows
+            self.end = min(rows if l < rows else 2 * l + 2 - rows, l + _BLOCK)
+        return not done
 
-        # compensated accumulation, fixed ascending order
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-
-        if not l0 and abs(term) < query.term_tol * abs(acc):
-            break
-        if l >= l_cap:
-            raise ConvergenceError(
-                f"Matsubara sum still above term_tol at l = {l} "
-                f"(a = {a} um, T = {temp} K)",
-                last_estimate=pressure_to_pascal(prefactor * acc))
-
-    unit = abs(pressure_to_pascal(prefactor))
-    if l0:
-        f, f_err = np.array(ends).T
-        integral, integral_err, ok = yield from _tail_integral(
-            model, c1, l0 * dy, dy, quad_tol)
-        tail = integral + float(_GREGORY_WEIGHTS @ f)
-        acc += tail - comp          # the last compensated step
-        raw_terms.append(tail)
-        if not ok:
-            raise ConvergenceError(
-                f"Matsubara tail integral stalled above tolerance {quad_tol}",
-                last_estimate=pressure_to_pascal(prefactor * acc))
-        quad_err += (integral_err + float(np.abs(_GREGORY_WEIGHTS) @ f_err)
-                     + 2.0 * abs(_GREGORY[-1] * float(_DELTA[7] @ f)))
-        terms_used = l0 + int(_TAIL_SPAN / dy) + 1
-    else:
-        quad_err += _matsubara_tail(term, float(y_lo[j]), dy)
-        terms_used = l + 1
-    pressure = pressure_to_pascal(prefactor * acc)
-    if not abs(pressure) < math.inf:
-        raise DomainError(f"the pressure at a = {a} um, T = {temp} K overflows")
-    return PressureResult(
-        pressure=pressure,
-        terms_used=terms_used,
-        quad_error_estimate=unit * quad_err,
-        per_term=tuple(
-            (pressure_to_pascal(prefactor) * np.array(raw_terms)).tolist()))
+    def result(self, tail=None):
+        """The PressureResult, given on the Euler-Maclaurin path the tail
+        ((1/dy) int f dy, its error bound, converged) of _tail_integral."""
+        prefactor, acc, quad_err = self.prefactor, self.acc, self.quad_err
+        if tail:
+            integral, integral_err, ok = tail
+            f, f_err = np.array(self.ends).T
+            value = integral + float(_GREGORY_WEIGHTS @ f)
+            acc += value - self.comp        # the last compensated step
+            self.terms.append(value)
+            if not ok:
+                raise ConvergenceError(
+                    "Matsubara tail integral stalled above tolerance "
+                    f"{self.query.quad_tol}",
+                    last_estimate=pressure_to_pascal(prefactor * acc))
+            quad_err += (integral_err + float(np.abs(_GREGORY_WEIGHTS) @ f_err)
+                         + 2.0 * abs(_GREGORY[-1] * float(_DELTA[7] @ f)))
+            terms_used = self.l0 + int(_TAIL_SPAN / self.dy) + 1
+        else:
+            # the last term, terms[-1], stopped the sum
+            quad_err += _matsubara_tail(
+                self.terms[-1], self.scale * (self.xi_1 * self.l), self.dy)
+            terms_used = self.l + 1
+        pressure = pressure_to_pascal(prefactor * acc)
+        if not abs(pressure) < math.inf:
+            raise DomainError(
+                f"the pressure at a = {self.query.separation} um, "
+                f"T = {self.query.temperature} K overflows")
+        unit = pressure_to_pascal(prefactor)
+        return PressureResult(pressure=pressure, terms_used=terms_used,
+                              quad_error_estimate=abs(unit) * quad_err,
+                              per_term=tuple([unit * t for t in self.terms]))
 
 
 def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     """The PressureResults of queries that share one model object and one
-    quad_tol, in input order.
-
-    Each sum is taken as _matsubara_sum describes, and the terms of all of
-    them go through the wavevector quadrature together: first every static
-    term, then rounds in which each sum still open adds its next block
-    (a kink stencil is one), and last one round of every tail integral,
-    one integrate row each.
-    The rows of a round are one integrate call, which forms its passes;
-    each result has the bits of its query alone.  The error of the first
-    failing query in input order is raised; differing models or quad_tol
-    raise DomainError.
-    """
+    quad_tol, in input order, in the stages of the module docstring; the
+    error of the first failing query in input order is raised, differing
+    models or quad_tol raise DomainError."""
     queries = list(queries)
     if not queries:
         return []
@@ -424,38 +414,56 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     if any(q.model is not model or q.quad_tol != quad_tol for q in queries):
         raise DomainError("the queries of one call must share one model "
                           "object and one quad_tol")
-    sums = [_matsubara_sum(q) for q in queries]
-    results = [None] * len(sums)
-    error = None
-    sent = dict.fromkeys(range(len(sums)))  # open sums -> what they are sent
-    tails = {}          # sums waiting for their tail integral -> (c1, edges)
-    while sent:
-        blocks = {}
-        # in ascending order; a failure drops every later sum, so the
-        # error kept is that of the first failing query
-        for i, rows in sent.items():
+    everyone = sums = [_Sum(i, q) for i, q in enumerate(queries)]
+    results, error, cut = [None] * len(sums), None, len(sums)
+    # each stage takes the sums in ascending order, and a failure drops
+    # every later sum, so the error kept is that of the first failing query
+    while sums:
+        sizes = [len(s.request[2]) if s.tail else s.end - s.l for s in sums]
+        starts = list(accumulate(sizes, initial=0))
+        # per row: xi_1, 2a/(hbar c), c1 and l minus the row's index
+        xi_1, scale, c1, l = np.array(
+            [(s.xi_1, s.scale, s.c1, s.l + 1 - j)
+             for s, j in zip(sums, starts)]).repeat(sizes, axis=0).T
+        xi = xi_1 * (np.arange(len(l)) + l)
+        y_lo = scale * xi
+        for s, j, n in zip(sums, starts, sizes):
+            if s.tail:          # a kink stencil: its own rows (c1, xi, y)
+                xi[j:j + n], y_lo[j:j + n] = s.request[1:]
+        static = sums[0].l < 0      # the first round: every static term, l = 0
+        integrals = _integrate(model, quad_tol, c1, None if static else xi, y_lo)
+        values, errors, ok = (r.tolist() for r in integrals)
+        reading, sums = sums, []
+        for s, row in zip(reading, starts):
             try:
-                block = sums[i].send(rows)
-            except StopIteration as stop:
-                results[i] = stop.value
-                continue
+                if s.tail:
+                    s.request = s.tail.send(tuple(
+                        r[row:row + len(s.request[2])] for r in integrals))
+                elif s.read(values, errors, ok, row):
+                    sums.append(s)
+                    continue
+                elif s.l0:
+                    s.tail = _tail_integral(model, s.c1, s.l0 * s.dy, s.dy,
+                                            quad_tol)
+                    s.request = next(s.tail)
+                else:
+                    results[s.index] = s.result()
+                    continue
             except (ConvergenceError, DomainError) as exc:
-                error, tails = exc, {j: t for j, t in tails.items() if j < i}
+                error, cut = exc, s.index
                 break
-            (tails if len(block) == 2 else blocks)[i] = block
-        if not blocks:      # tails wait until no sum has terms left
-            order = sorted(tails)
-            sent = dict(zip(order, _tail_rows(model, quad_tol, [
-                tails.pop(i) for i in order]))) if order else {}
-            continue
-        c1, xi, y_lo = zip(*blocks.values())
-        sizes = [len(y) for y in y_lo]
-        integrals = _integrate(
-            model, quad_tol, np.array(c1).repeat(sizes),
-            None if xi[0] is None else np.concatenate(xi),
-            np.concatenate(y_lo))
-        sent = {i: tuple(r[end - size:end] for r in integrals)
-                for i, end, size in zip(blocks, accumulate(sizes), sizes)}
+            if len(s.request) == 3:     # a kink stencil joins the next round
+                sums.append(s)
+    # the tails of the long sums wait until no sum has terms left
+    tails = [s for s in everyone[:cut] if s.l0]
+    rows = (_tail_rows(model, quad_tol, [s.request for s in tails]) if tails
+            else ())
+    for s, row in zip(tails, rows):
+        try:
+            results[s.index] = s.result(s.tail.send(row))
+        except (ConvergenceError, DomainError) as exc:
+            error = exc
+            break
     if error is not None:
         raise error
     return results

@@ -28,7 +28,7 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import quad
 from .response import (Drude, EpsPair, NonlocalAlt, PerfectReflector, Plasma,
                        ResponseModel, WithCore, check_point, eval_imag_axis,
-                       eval_real_axis, finite_and_positive, pole_weight)
+                       eval_real_axis, pole_weight)
 
 
 class ReflectionPair(NamedTuple):
@@ -174,10 +174,13 @@ def zero_freq_limit(model: ResponseModel, k_hat):
     without dissipation, 0 for the local dissipative response (no TE
     reflection at all) and the pole weight of the nonlocal response (a
     small TE amplitude controlled by v_T).  r_TM is 1 but for the nonlocal
-    response, whose TM amplitude dips below unity through v_L.
+    response, whose TM amplitude dips below unity through v_L.  k_hat must
+    lie in [2^-511, 2^512) eV, where k_hat^2 is normal, or DomainError.
     """
-    if not finite_and_positive(k_hat):
-        raise DomainError("zero_freq_limit needs a finite k_hat > 0")
+    low, high = check_point(k_hat, 0.0, "k_hat")
+    if low < 2.0**-511 or high >= 2.0**512:
+        raise DomainError("zero_freq_limit needs k_hat in [2^-511, 2^512) "
+                          f"eV, got {low if low < 2.0**-511 else high}")
     core = 1.0
     if isinstance(model, WithCore):
         # a core shifts the static eps_L, which feeds the nonlocal TM

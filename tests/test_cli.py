@@ -13,10 +13,11 @@ import pytest
 
 import nlcasimir
 from nlcasimir import (RELATIONS, ConvergenceError, Drude, NonlocalAlt,
-                       PressureQuery, SpherePlateConfig, WithCore,
-                       build_core_table, casimir_pressure, casimir_pressures,
-                       eval_imag_axis, eval_real_axis, force_gradient,
-                       gold_default, interband_im_eps, parse_optical_table)
+                       PressureQuery, PressureResult, SpherePlateConfig,
+                       WithCore, build_core_table, casimir_pressure,
+                       casimir_pressures, eval_imag_axis, eval_real_axis,
+                       force_gradient, gold_default, interband_im_eps,
+                       parse_optical_table)
 from nlcasimir.cli import run
 
 from conftest import OPTICAL_TEXT
@@ -329,6 +330,48 @@ def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
             "--a-min", "1", "--a-max", "3", "--points", "3"] in matrix.MATRIX
     assert ["kk-verify", "--relations", "t-imag-axis", "--format", "csv",
             "--optical-data", matrix.OPTICAL] in matrix.MATRIX
+
+
+def test_result_digest_reports_only_sets_that_differ(tmp_path, monkeypatch,
+                                                    capsys):
+    spec = importlib.util.spec_from_file_location(
+        "result_digest", SCRIPTS / "result_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    runs = []
+
+    def set_digests(checkout, moved=None):
+        # each side runs in a copy of its checkout
+        assert not checkout.is_relative_to(tmp_path)
+        assert (checkout / "marker").read_text() == checkout.name
+        runs.append(checkout.name)
+        return {name: "new" if checkout.name == "change" and name == moved
+                else "old" for name in digest.SETS}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "marker").write_text(side)
+    sides = [str(tmp_path / side) for side in ("parent", "change")]
+    monkeypatch.setattr(digest, "set_digests", set_digests)
+    assert digest.main(sides) == 0
+    same = capsys.readouterr().out.splitlines()
+    moved = "cored-nonlocal T=1 quad_tol=1e-12 term_tol=1e-15"
+    monkeypatch.setattr(digest, "set_digests",
+                        lambda checkout: set_digests(checkout, moved))
+    assert digest.main(sides) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert runs == ["parent", "change"] * 2
+    assert same[0] == out[0] == f"parent {same[0].split()[1]}"
+    assert same[1:] == [f"change {same[0].split()[1]}",
+                        "0 of 90 result sets differ"]
+    assert out[1] != same[1] and out[2:] == [moved, "1 of 90 result sets differ"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "change", "marker", "marker", "parent"]
+    # 5 models x 6 temperatures x 3 tolerance pairs, and every field in hex
+    assert len(set(digest.SETS)) == 90 and moved in digest.SETS
+    assert digest.result_text(PressureResult(-1.5, 3, 0.25, (-1.0, -0.5))) == (
+        "-0x1.8000000000000p+0 3 0x1.0000000000000p-2 -0x1.0000000000000p+0 "
+        "-0x1.0000000000000p-1")
 
 
 def test_perfbench_tracer_changes_no_output_byte(capsys):

@@ -471,6 +471,22 @@ def test_a_batch_has_the_bits_of_single_queries(model, temperature, grid):
     assert casimir_pressures(queries) == [casimir_pressure(q) for q in queries]
 
 
+@pytest.mark.parametrize("model", [DRUDE, CORED], ids=["drude", "cored"])
+def test_a_batch_that_mixes_paths_and_tolerances_has_the_bits_of_single_queries(
+        model):
+    # direct sums at 300 K, Euler-Maclaurin heads at 1 and 0.1 K, and
+    # three term_tol in one call: the sums read rows of shared rounds
+    queries = [PressureQuery(a, temperature, model, term_tol=term_tol)
+               for a, temperature in ((0.2, 300.0), (1.0, 300.0), (0.5, 1.0),
+                                      (2.0, 1.0), (1.0, 0.1))
+               for term_tol in (1e-6, 1e-10, 1e-15)]
+    results = casimir_pressures(queries)
+    assert results == [casimir_pressure(q) for q in queries]
+    # the direct sums give one per_term entry a term
+    assert [len(r.per_term) == r.terms_used for r in results] == (
+        [True] * 6 + [False] * 9)
+
+
 def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
     # integrate forms the passes: no integrand call takes more nodes than
     # _BLOCK terms of three u-panels of 21 nodes, however large the round

@@ -65,9 +65,6 @@ def test_reflection_pair_scans_its_block_once(monkeypatch):
     scanned = []
     monkeypatch.setattr(reflection, "check_point",
                         lambda x, k_hat, name="xi": scanned.append(k_hat))
-    monkeypatch.setattr(reflection, "finite_and_positive",
-                        lambda values, allow_zero=False: scanned.append(values)
-                        or True)
     xi = np.linspace(0.1, 1.0, 4)[:, None]
     k = np.outer(np.ones(4), np.linspace(0.0, 2.0, 15))
     expected = nonlocal_coeffs(eval_imag_axis(GOLD, xi, k), xi, k)
@@ -276,6 +273,19 @@ def test_static_limits_need_a_finite_wavevector():
         for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
             with pytest.raises(DomainError):
                 zero_freq_limit(model, bad)
+
+
+def test_static_limits_refuse_a_wavevector_whose_square_is_not_normal():
+    # k_hat^2 underflows below 2^-511 (Drude's r_TE came out 1, not 0) and
+    # overflows from 2^512 on (plasma's and the nonlocal r_TE came out NaN)
+    lossy = Drude(DrudeParams(9.0, 0.035))
+    for model in (lossy, Plasma(9.0), GOLD):
+        for bad in (1e-170, 2.0**-512, 1e200, 2.0**512,
+                    np.array([1.0, 1e-170]), np.array([1e200, 1.0])):
+            with pytest.raises(DomainError, match=r"\[2\^-511, 2\^512\)"):
+                zero_freq_limit(model, bad)
+    assert zero_freq_limit(lossy, 2.0**-511) == (1.0, 0.0)
+    assert zero_freq_limit(Plasma(9.0), 2.0**-511).r_te == -1.0
 
 
 def test_static_nonlocal_limit_needs_dissipation():
