@@ -2,16 +2,19 @@
 
     python3 scripts/result_digest.py PARENT CHANGE
 
-The grid is 90 result sets: five models (Drude, plasma, nonlocal, and
+The grid is 91 result sets: five models (Drude, plasma, nonlocal, and
 Drude and nonlocal with the interband core built from the optical table of
 tests/conftest.py), T = 1000, 300, 77, 20, 5 and 1 K, and three (quad_tol,
 term_tol) pairs, each set one casimir_pressures call on 25 separations
-from 0.02 to 20 um.  A set's sha256 digest covers every pressure,
+from 0.02 to 20 um, and one set whose call raises: nonlocal at a = 1e-93
+um, T = 1e30 K, a query inside PressureQuery's domain whose wavevector
+quadrature stalls.  A set's sha256 digest covers every pressure,
 terms_used, quad_error_estimate and per_term, as hex floats, or the
-error the call raised.  The grid runs in a copy of each checkout, in a
-fresh interpreter with the copy's src/ on PYTHONPATH.  Both checkouts'
-digests of the whole grid are printed, then each set whose digest
-differs; the script exits 1 if any does.  Each checkout is copied,
+type, message and last_estimate of the error the call raised.  The grid
+runs in a copy of each checkout, in a fresh interpreter with the copy's
+src/ on PYTHONPATH.  Both checkouts' digests of the whole grid are
+printed, then each set whose digest differs; the script exits 1 if any
+does.  Each checkout is copied,
 without .git and caches, to a temporary directory, so nothing is written
 into either one.  `result_digest.py --here` prints the set digests of
 the checkout in the working directory as JSON.  numpy, and nlcasimir from
@@ -32,9 +35,12 @@ SIDES = ("parent", "change")
 MODELS = ("drude", "plasma", "nonlocal", "cored-drude", "cored-nonlocal")
 TEMPERATURES = (1000.0, 300.0, 77.0, 20.0, 5.0, 1.0)
 TOLERANCES = ((1e-9, 1e-10), (1e-12, 1e-15), (1e-6, 1e-6))
+# a set names its model and key=value fields; without an a= it takes the
+# grid's 25 separations
+RAISING = "nonlocal a=1e-93 T=1e+30 quad_tol=1e-09 term_tol=1e-10"
 SETS = tuple(f"{model} T={temp:g} quad_tol={quad:g} term_tol={term:g}"
              for model in MODELS for temp in TEMPERATURES
-             for quad, term in TOLERANCES)
+             for quad, term in TOLERANCES) + (RAISING,)
 
 
 def result_text(result):
@@ -47,10 +53,8 @@ def result_text(result):
 def digest_here():
     """{set: sha256 hex} of the grid, from the nlcasimir on sys.path."""
     import numpy as np
-    from nlcasimir import (ConvergenceError, DomainError, Drude, Plasma,
-                           PressureQuery, WithCore, build_core_table,
-                           casimir_pressures, gold_default, interband_im_eps,
-                           parse_optical_table)
+    from nlcasimir import (Drude, Plasma, WithCore, build_core_table,
+                           gold_default, interband_im_eps, parse_optical_table)
     sys.path.insert(0, "tests")
     from conftest import OPTICAL_TEXT
 
@@ -62,19 +66,25 @@ def digest_here():
     models = dict(zip(MODELS, (drude, Plasma(gold.params.drude.omega_p), gold,
                                WithCore(drude, core), WithCore(gold, core))))
     separations = np.geomspace(0.02, 20.0, 25).tolist()
-    digests = {}
-    for name in SETS:
-        model, temp, quad, term = name.split()
-        temp, quad, term = (float(x.split("=")[1]) for x in (temp, quad, term))
-        try:
-            text = "\n".join(result_text(r) for r in casimir_pressures(
-                [PressureQuery(a, temp, models[model], quad, term)
-                 for a in separations]))
-        except (ConvergenceError, DomainError) as exc:
-            text = (f"{type(exc).__name__}: {exc} "
-                    f"{getattr(exc, 'last_estimate', None)!r}")
-        digests[name] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+    return {name: hashlib.sha256(set_text(name, models, separations)
+                                 .encode()).hexdigest() for name in SETS}
+
+
+def set_text(name, models, separations):
+    """The text a set's digest covers: its results, or the error raised."""
+    from nlcasimir import (ConvergenceError, DomainError, PressureQuery,
+                           casimir_pressures)
+    model, *fields = name.split()
+    fields = {key: float(value) for key, value in
+              (field.split("=") for field in fields)}
+    try:
+        return "\n".join(result_text(r) for r in casimir_pressures(
+            [PressureQuery(a, fields["T"], models[model], fields["quad_tol"],
+                           fields["term_tol"])
+             for a in ([fields["a"]] if "a" in fields else separations)]))
+    except (ConvergenceError, DomainError) as exc:
+        return (f"{type(exc).__name__}: {exc} "
+                f"{getattr(exc, 'last_estimate', None)!r}")
 
 
 def set_digests(checkout):

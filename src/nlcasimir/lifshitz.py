@@ -21,7 +21,9 @@ are one call of the G10/K21 quadrature of nlcasimir.quadrature, three
 u-panels per term at the start, which sends them through the reflection
 chain in 2-d passes of at most 318 panels (_BLOCK terms) and refines
 rows that miss quad_tol; the tail integrals' nodes share such passes
-too.  No row's quadrature depends on another row, so a query gets the
+too.  A pass writes its temporaries in place, into arrays it made
+itself, in the operand order of the plain formulas (reflection._amplitudes).
+No row's quadrature depends on another row, so a query gets the
 same bits alone or in any batch.  Each sum reads its rows in ascending
 l and accumulates them with compensated summation, so results are
 bit-identical run to run.
@@ -155,28 +157,36 @@ class PressureResult:
 
 
 def _summand(y, r):
-    """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y."""
-    ey = np.exp(-y)
+    """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y;
+    each step writes into an array of its own, as in reflection._amplitudes."""
+    ey = np.exp(np.negative(y))
     tm, te = (amp * amp * ey for amp in (r.r_tm, r.r_te))
-    return y * y * (tm / (1.0 - tm) + te / (1.0 - te))
+    for w in (tm, te):          # w / (1 - w), with 1 - w in ey
+        w /= np.subtract(1.0, w, out=ey)
+    tm += te
+    tm *= np.multiply(y, y, out=ey)
+    return tm
 
 
 def _integrate(model, quad_tol, c1, xi, y_lo):
     """(integrals, errors, converged flags) of the terms c1, xi, y_lo (xi
     None: static terms, y_lo = 0) in one integrate call; c1 is a scalar or
-    one per row."""
+    one per row.  The integrand writes only into arrays it makes."""
     c1 = np.full(len(y_lo), c1)
 
     def u_integrand(rows, u):
         y0 = y_lo[rows][:, None]
         k = c1[rows][:, None] * u
-        uu = u * u
+        y = u * u
         if xi is None:
-            pair = zero_freq_limit(model, k * u)
+            pair = zero_freq_limit(model, np.multiply(k, u, out=k))
         else:
-            pair = reflection_pair(model, xi[rows][:, None],
-                                   k * np.sqrt(2.0 * y0 + uu))
-        return 2.0 * u * _summand(y0 + uu, pair)
+            root = 2.0 * y0 + y
+            k *= np.sqrt(root, out=root)
+            pair = reflection_pair(model, xi[rows][:, None], k)
+        y += y0
+        f = _summand(y, pair)
+        return np.multiply(f, np.multiply(2.0, u, out=y), out=f)
 
     # a copy: the view np.broadcast_to makes costs about 3 us more a call
     edges = _U_EDGES[None, :].repeat(len(y_lo), axis=0)

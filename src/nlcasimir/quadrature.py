@@ -57,7 +57,8 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324):
         k21, g10 = np.empty((2, len(new[0])))
         for s in (slice(i, i + _PASS) for i in range(0, len(new[0]), _PASS)):
             half = 0.5 * (new[2][s] - new[1][s])
-            fx = f(new[0][s], (new[1][s] + half)[:, None] + half[:, None] * _NODES)
+            x = half[:, None] * _NODES
+            fx = f(new[0][s], np.add(x, (new[1][s] + half)[:, None], out=x))
             k21[s], g10[s] = (np.vecdot(fx, w) * half for w in _WEIGHTS)
         rows, lo, hi, val, err = (
             np.concatenate(pair) for pair in

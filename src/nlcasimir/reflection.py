@@ -57,7 +57,8 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
 
     The TM amplitude carries a correction proportional to eps_t - eps_l
     which vanishes identically for a k-independent response, collapsing
-    both amplitudes to the Fresnel forms bit for bit.
+    both amplitudes to the Fresnel forms bit for bit.  eps has at most the
+    shape of xi and k_hat broadcast together, as eval_imag_axis gives it.
     """
     check_point(xi, k_hat)
     if np.any(eps.eps_l == 0.0):
@@ -66,21 +67,29 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
 
 
 def _imag_axis_amplitudes(eps: EpsPair, xi, k_hat):
-    return _amplitudes(eps, q_hat(xi, k_hat), q_hat(xi, k_hat, eps.eps_t),
-                       k_hat)
+    kk = k_hat * k_hat              # one square for both roots, taken in place
+    q, k_t = (np.sqrt(s, out=s if isinstance(s, np.ndarray) else None)
+              for s in (kk + xi * xi, kk + eps.eps_t * xi * xi))
+    return _amplitudes(eps, q, k_t, k_hat)
 
 
 def _amplitudes(eps: EpsPair, q, k_t, k):
     """Both amplitudes from the vacuum and transverse normal wavenumbers
-    q, k_t and the in-plane wavenumber k, all in units of one frequency."""
-    tq = eps.eps_t * q
-    if eps.eps_l is eps.eps_t:      # local: the TM correction is exactly 0
-        r_tm = (tq - k_t) / (tq + k_t)
-    else:
+    q, k_t and the in-plane wavenumber k, all in units of one frequency.
+    Steps write in place into arrays of the chain's own, q and k_t among
+    them, in the operand order (so with the bits) of the plain formulas."""
+    tm = eps.eps_t * q
+    den = tm + k_t
+    tm -= k_t
+    if eps.eps_l is not eps.eps_t:  # local: the TM correction is exactly 0
         corr = k * (eps.eps_t - eps.eps_l) / eps.eps_l
-        r_tm = (tq - k_t - corr) / (tq + k_t + corr)
-    del tq      # held under r_te, it made malloc trim the heap: room_sweep +15%
-    return ReflectionPair(r_tm, (q - k_t) / (q + k_t))
+        tm -= corr
+        den += corr
+    tm /= den
+    den = q + k_t
+    q -= k_t
+    q /= den
+    return ReflectionPair(tm, q)
 
 
 def impedance_closed(eps: EpsPair, xi, k_hat):

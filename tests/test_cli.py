@@ -363,15 +363,60 @@ def test_result_digest_reports_only_sets_that_differ(tmp_path, monkeypatch,
     assert runs == ["parent", "change"] * 2
     assert same[0] == out[0] == f"parent {same[0].split()[1]}"
     assert same[1:] == [f"change {same[0].split()[1]}",
-                        "0 of 90 result sets differ"]
-    assert out[1] != same[1] and out[2:] == [moved, "1 of 90 result sets differ"]
+                        "0 of 91 result sets differ"]
+    assert out[1] != same[1] and out[2:] == [moved, "1 of 91 result sets differ"]
     assert sorted(p.name for p in tmp_path.rglob("*")) == [
         "change", "marker", "marker", "parent"]
-    # 5 models x 6 temperatures x 3 tolerance pairs, and every field in hex
-    assert len(set(digest.SETS)) == 90 and moved in digest.SETS
+    # 5 models x 6 temperatures x 3 tolerance pairs and one set that raises,
+    # and every field in hex
+    assert len(set(digest.SETS)) == 91 and moved in digest.SETS
+    assert digest.SETS[-1] == digest.RAISING
+    stalled = digest.set_text(digest.RAISING, {"nonlocal": gold_default()}, [])
+    with pytest.raises(ConvergenceError) as err:
+        casimir_pressures([PressureQuery(1e-93, 1e30, gold_default())])
+    assert stalled == (f"ConvergenceError: {err.value} "
+                       f"{err.value.last_estimate!r}")
+    assert stalled.startswith("ConvergenceError: wavevector quadrature stalled")
     assert digest.result_text(PressureResult(-1.5, 3, 0.25, (-1.0, -0.5))) == (
         "-0x1.8000000000000p+0 3 0x1.0000000000000p-2 -0x1.0000000000000p+0 "
         "-0x1.0000000000000p-1")
+
+
+def test_pass_cost_times_each_side_in_a_copy(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "pass_cost", SCRIPTS / "pass_cost.py")
+    cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cost)
+    runs = []
+
+    def pass_costs(checkout, repeats):
+        # each side runs in a copy of its checkout; rounds alternate sides
+        assert not checkout.is_relative_to(tmp_path)
+        assert (checkout / "marker").read_text() == checkout.name
+        assert repeats == 5
+        runs.append(checkout.name)
+        base = 40.0 if checkout.name == "parent" else 30.0
+        return {name: base + len(runs) for name in cost.MODELS}
+
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "marker").write_text(side)
+    monkeypatch.setattr(cost, "pass_costs", pass_costs)
+    assert cost.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--repeats", "5", "--rounds", "3"]) == 0
+    assert runs == ["parent", "change", "change", "parent", "parent", "change"]
+    out = capsys.readouterr().out.splitlines()
+    # the minimum over the rounds: parent 40 + 1, change 30 + 2
+    assert out[1:] == [f"{name:16}     41.0     32.0  0.780"
+                       for name in cost.MODELS]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "change", "marker", "marker", "parent"]
+    # one pass of the checkout at hand: a time for every model
+    monkeypatch.chdir(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "path", sys.path[:])   # it adds tests/
+    times = cost.pass_here(1)
+    assert sorted(times) == sorted(cost.MODELS)
+    assert all(0.0 < ns < math.inf for ns in times.values())
 
 
 def test_perfbench_tracer_changes_no_output_byte(capsys):

@@ -232,6 +232,50 @@ def test_wavevector_quadrature_reports_stalls(monkeypatch):
     assert math.isfinite(err.value.last_estimate)
 
 
+@pytest.mark.parametrize("static", [False, True], ids=["terms", "static"])
+@pytest.mark.parametrize("model", [DRUDE, PLASMA, GOLD,
+                                   WithCore(DRUDE, CORED.core), CORED,
+                                   PerfectReflector()],
+                         ids=["drude", "plasma", "nonlocal", "cored-drude",
+                              "cored-nonlocal", "perfect"])
+def test_the_pass_integrand_has_the_bits_of_the_plain_chain(monkeypatch,
+                                                            model, static):
+    # the integrand writes its temporaries in place; it must give the bits
+    # of the out-of-place chain and leave every array it is handed as it was
+    caught = []
+    monkeypatch.setattr(lifshitz, "integrate",
+                        lambda f, edges, rel_tol: caught.append(f))
+    terms = 12
+    c1 = CONSTANTS.hbar_c / (2.0 * np.linspace(0.3, 3.0, terms))
+    xi = matsubara_xi(1, 1.0) * np.arange(1.0, terms + 1)
+    # y_lo a view of a node array, the way _tail_rows passes it
+    nodes = (np.zeros((terms, 2)) if static else
+             np.outer(np.linspace(0.5, 2.0, terms), (1.0, 3.0)))
+    y_lo = nodes[:, 0]
+    _integrate(model, 1e-9, c1, None if static else xi, y_lo)
+    # refined, unequal panels: the first and last of _U_EDGES bisected
+    edges = np.sqrt((0.0, 1.0, 2.0, 12.0, 31.0, 50.0))
+    rows = np.repeat(np.arange(terms), len(edges) - 1)
+    half = 0.5 * np.tile(np.diff(edges), terms)
+    u = ((np.tile(edges[:-1], terms) + half)[:, None]
+         + half[:, None] * quadrature._NODES)
+    held = [a.copy() for a in (u, nodes, xi, c1)]
+    got = caught[0](rows, u)
+    for a, b in zip((u, nodes, xi, c1), held):
+        assert np.array_equal(a, b)
+    y0 = y_lo[rows][:, None]
+    k = c1[rows][:, None] * u
+    if static:
+        pair = zero_freq_limit(model, k * u)
+    else:
+        pair = reflection_pair(model, xi[rows][:, None],
+                               k * np.sqrt(2.0 * y0 + u * u))
+    y = y0 + u * u
+    tm, te = (r * r * np.exp(-y) for r in pair)
+    want = 2.0 * u * (y * y * (tm / (1.0 - tm) + te / (1.0 - te)))
+    assert got.shape == u.shape and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("temperature", [1.0, 300.0])
 @pytest.mark.parametrize("model", [DRUDE, PLASMA, GOLD, CORED],
                          ids=["drude", "plasma", "nonlocal", "with-core"])
