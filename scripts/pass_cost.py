@@ -1,73 +1,64 @@
 """Time one full pressure-integrand pass per model in two checkouts.
 
-    python3 scripts/pass_cost.py PARENT CHANGE [--repeats 200] [--rounds 3]
+    python3 scripts/pass_cost.py PARENT CHANGE
 
 A pass is one call of the integrand that `lifshitz._integrate` hands to
 `nlcasimir.quadrature.integrate` (caught by patching
 `lifshitz.integrate`), on the 318 u-panels of terms l = 1..106 at a = 1
 um, T = 1 K: 6,678 nodes, the largest call `integrate` makes.  The
-models are Drude, plasma, nonlocal gold, Drude and nonlocal with the
-interband core of tests/conftest.py's optical table, and the static
-(l = 0) rows of Drude and nonlocal on the same panels.  Each checkout is
-copied, without .git and caches, to a temporary directory, and each
-round runs both copies, one after the other and alternating which goes
-first, each in a fresh interpreter with the copy's src/ on PYTHONPATH.
-The models take turns within each repeat.  The script prints, per
-model, each checkout's ns per node, the minimum over every repeat of
-every round, and their ratio.
-`pass_cost.py --here N` prints the times of the checkout in the working
-directory, as JSON.  numpy, and nlcasimir from each checkout, only.
+models are the five of scripts/result_digest.py (Drude, plasma, nonlocal
+gold, and Drude and nonlocal with the interband core of
+tests/conftest.py's optical table) and the static (l = 0) rows of Drude
+and nonlocal on the same panels.  Both checkouts are copied, as
+result_digest.py copies them, and each of ROUNDS rounds runs both
+copies, one after the other and alternating which goes first, each in a
+fresh interpreter with the copy's src/ on PYTHONPATH, where the models
+take turns in each of REPEATS repeats.  The script prints, per model,
+each checkout's ns per node, the minimum over every repeat of every
+round, and their ratio.  `pass_cost.py --here` prints the times of the
+checkout in the working directory, as JSON.  numpy, and nlcasimir from
+each checkout, only.
 """
 
 import argparse
 import json
-import os
-import shutil
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-SIDES = ("parent", "change")
-MODELS = ("drude", "plasma", "nonlocal", "cored-drude", "cored-nonlocal",
-          "static-drude", "static-nonlocal")
+from result_digest import MODELS as TERM_MODELS
+from result_digest import SIDES, copy_checkouts, models_here, run_here
+
+MODELS = (*TERM_MODELS, "static-drude", "static-nonlocal")
 TERMS = 106                     # rows of one pass: 3 u-panels each
+REPEATS = 200                   # passes per model and interpreter
+ROUNDS = 5                      # interpreters per checkout
 
 
-def pass_here(repeats):
-    """{model: ns per node} of one pass, the minimum over repeats, from the
+def pass_here():
+    """{model: ns per node} of one pass, the minimum over REPEATS, from the
     nlcasimir on sys.path."""
     import numpy as np
-    from nlcasimir import (Drude, Plasma, WithCore, build_core_table,
-                           gold_default, interband_im_eps, parse_optical_table)
     from nlcasimir import lifshitz
     from nlcasimir.constants import CONSTANTS, matsubara_xi
     from nlcasimir.quadrature import _NODES
-    sys.path.insert(0, "tests")
-    from conftest import OPTICAL_TEXT
 
-    gold = gold_default()
-    drude = Drude(gold.params.drude)
-    core = build_core_table(
-        interband_im_eps(parse_optical_table(OPTICAL_TEXT), gold.params.drude),
-        np.geomspace(1e-3, 1e2, 121))
-    models = dict(zip(MODELS, (drude, Plasma(gold.params.drude.omega_p), gold,
-                               WithCore(drude, core), WithCore(gold, core),
-                               drude, gold)))
+    models = models_here()
     a_um, temperature = 1.0, 1.0
     c1 = CONSTANTS.hbar_c / (2.0 * a_um)
     xi = np.array([matsubara_xi(l, temperature) for l in range(1, TERMS + 1)])
     y_lo = 2.0 * a_um * xi / CONSTANTS.hbar_c
 
     passes = {}
-    for name, model in models.items():
-        static = name.startswith("static")
+    for name in MODELS:
+        static = name.startswith("static-")
         caught = []
         original = lifshitz.integrate
         lifshitz.integrate = lambda f, edges, rel_tol: caught.append((f, edges))
         try:
-            lifshitz._integrate(model, 1e-9, c1, None if static else xi,
+            lifshitz._integrate(models[name.removeprefix("static-")], 1e-9,
+                                c1, None if static else xi,
                                 np.zeros(TERMS) if static else y_lo)
         finally:
             lifshitz.integrate = original
@@ -78,7 +69,7 @@ def pass_here(repeats):
                         (lo + half)[:, None] + half[:, None] * _NODES)
     # the models take turns, so a busy spell of the machine hits them alike
     best = dict.fromkeys(passes, float("inf"))
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for name, (f, rows, x) in passes.items():
             start = time.perf_counter()
             f(rows, x)
@@ -86,36 +77,18 @@ def pass_here(repeats):
     return {name: 1e9 * best[name] / passes[name][2].size for name in best}
 
 
-def pass_costs(checkout, repeats):
-    """{model: ns per node} of one checkout, run in a fresh process."""
-    done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--here", str(repeats)],
-        cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
-        capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"{checkout}: the pass timing exited {done.returncode}\n"
-                 f"{done.stderr.strip()}")
-    return json.loads(done.stdout)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--repeats", type=int, default=200)
-    parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
 
-    best = {side: {name: float("inf") for name in MODELS} for side in SIDES}
+    best = {side: dict.fromkeys(MODELS, float("inf")) for side in SIDES}
     with tempfile.TemporaryDirectory() as scratch:
-        copies = {}
-        for side, path in zip(SIDES, (args.parent, args.change)):
-            copies[side] = Path(scratch) / side
-            shutil.copytree(path, copies[side], ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        for i in range(args.rounds):
+        copies = copy_checkouts((args.parent, args.change), scratch)
+        for i in range(ROUNDS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                for name, ns in pass_costs(copies[side], args.repeats).items():
+                for name, ns in run_here(__file__, copies[side]).items():
                     best[side][name] = min(best[side][name], ns)
     print(f"{'model':16} {'parent':>8} {'change':>8}  "
           "ns per node, change/parent")
@@ -126,7 +99,7 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--here"]:
-        print(json.dumps(pass_here(int(sys.argv[2]))))
+    if sys.argv[1:] == ["--here"]:
+        print(json.dumps(pass_here()))
         sys.exit(0)
     sys.exit(main())

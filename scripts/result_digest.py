@@ -14,10 +14,11 @@ type, message and last_estimate of the error the call raised.  The grid
 runs in a copy of each checkout, in a fresh interpreter with the copy's
 src/ on PYTHONPATH.  Both checkouts' digests of the whole grid are
 printed, then each set whose digest differs; the script exits 1 if any
-does.  Each checkout is copied,
-without .git and caches, to a temporary directory, so nothing is written
-into either one.  `result_digest.py --here` prints the set digests of
-the checkout in the working directory as JSON.  numpy, and nlcasimir from
+does.  Each checkout is copied, without .git and caches, to a temporary
+directory, so nothing is written into either one.  `result_digest.py
+--here` prints the set digests of the checkout in the working directory
+as JSON.  scripts/pass_cost.py builds its models, copies and runs from
+models_here, copy_checkouts and run_here.  numpy, and nlcasimir from
 each checkout, only.
 """
 
@@ -50,8 +51,9 @@ def result_text(result):
                      *(x.hex() for x in result.per_term)])
 
 
-def digest_here():
-    """{set: sha256 hex} of the grid, from the nlcasimir on sys.path."""
+def models_here():
+    """{name: model} of MODELS, from the nlcasimir on sys.path; the cored
+    models take the core of tests/conftest.py's optical table."""
     import numpy as np
     from nlcasimir import (Drude, Plasma, WithCore, build_core_table,
                            gold_default, interband_im_eps, parse_optical_table)
@@ -63,8 +65,14 @@ def digest_here():
     core = build_core_table(
         interband_im_eps(parse_optical_table(OPTICAL_TEXT), gold.params.drude),
         np.geomspace(1e-3, 1e2, 121))
-    models = dict(zip(MODELS, (drude, Plasma(gold.params.drude.omega_p), gold,
-                               WithCore(drude, core), WithCore(gold, core))))
+    return dict(zip(MODELS, (drude, Plasma(gold.params.drude.omega_p), gold,
+                             WithCore(drude, core), WithCore(gold, core))))
+
+
+def digest_here():
+    """{set: sha256 hex} of the grid, from the nlcasimir on sys.path."""
+    import numpy as np
+    models = models_here()
     separations = np.geomspace(0.02, 20.0, 25).tolist()
     return {name: hashlib.sha256(set_text(name, models, separations)
                                  .encode()).hexdigest() for name in SETS}
@@ -87,15 +95,27 @@ def set_text(name, models, separations):
                 f"{getattr(exc, 'last_estimate', None)!r}")
 
 
-def set_digests(checkout):
-    """{set: digest} of the grid in one checkout, run in a fresh process."""
+def copy_checkouts(paths, scratch):
+    """{side: a copy of its checkout in the directory scratch}, made
+    without .git and caches, so nothing is written into a checkout."""
+    copies = {}
+    for side, path in zip(SIDES, paths):
+        copies[side] = Path(scratch) / side
+        shutil.copytree(path, copies[side], ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+    return copies
+
+
+def run_here(script, checkout):
+    """The JSON that `script --here` prints in checkout, run in a fresh
+    interpreter with the checkout's src/ on PYTHONPATH."""
     done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--here"],
+        [sys.executable, str(Path(script).resolve()), "--here"],
         cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
         capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"{checkout}: the grid exited {done.returncode}\n"
-                 f"{done.stderr.strip()}")
+        sys.exit(f"{checkout}: {Path(script).name} --here exited "
+                 f"{done.returncode}\n{done.stderr.strip()}")
     return json.loads(done.stdout)
 
 
@@ -112,12 +132,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as scratch:
-        digests = []
-        for side, path in zip(SIDES, (args.parent, args.change)):
-            copy = Path(scratch) / side
-            shutil.copytree(path, copy, ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-            digests.append(set_digests(copy))
+        digests = [run_here(__file__, copy) for copy in
+                   copy_checkouts((args.parent, args.change), scratch).values()]
     for side, sets in zip(SIDES, digests):
         print(f"{side} {grid_digest(sets)}")
     differ = [name for name in SETS if digests[0][name] != digests[1][name]]

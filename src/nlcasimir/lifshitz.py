@@ -21,12 +21,11 @@ are one call of the G10/K21 quadrature of nlcasimir.quadrature, three
 u-panels per term at the start, which sends them through the reflection
 chain in 2-d passes of at most 318 panels (_BLOCK terms) and refines
 rows that miss quad_tol; the tail integrals' nodes share such passes
-too.  A pass writes its temporaries in place, into arrays it made
-itself, in the operand order of the plain formulas (reflection._amplitudes).
-No row's quadrature depends on another row, so a query gets the
-same bits alone or in any batch.  Each sum reads its rows in ascending
-l and accumulates them with compensated summation, so results are
-bit-identical run to run.
+too.  A pass writes its temporaries in place, into arrays it made, in
+the operand order of the plain formulas, so with their bits.  No row's
+quadrature depends on another row, so a query gets the same bits alone
+or in any batch.  Each sum reads its rows in ascending l and accumulates
+them with compensated summation, so results are bit-identical run to run.
 
 The Gamma(3, y) envelope e^{-y} P(y), P(y) = y^2 + 2y + 2, of the terms
 predicts how many terms the sum takes at term_tol (_direct_length).  That
@@ -157,9 +156,8 @@ class PressureResult:
 
 
 def _summand(y, r):
-    """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y;
-    each step writes into an array of its own, as in reflection._amplitudes."""
-    ey = np.exp(np.negative(y))
+    """y^2 sum_alpha r_alpha^2 e^{-y} / (1 - r_alpha^2 e^{-y}) at nodes y."""
+    ey = np.exp(np.negative(y))     # then scratch: every step is in place
     tm, te = (amp * amp * ey for amp in (r.r_tm, r.r_te))
     for w in (tm, te):          # w / (1 - w), with 1 - w in ey
         w /= np.subtract(1.0, w, out=ey)
@@ -184,8 +182,7 @@ def _integrate(model, quad_tol, c1, xi, y_lo):
             root = 2.0 * y0 + y
             k *= np.sqrt(root, out=root)
             pair = reflection_pair(model, xi[rows][:, None], k)
-        y += y0
-        f = _summand(y, pair)
+        f = _summand(np.add(y, y0, out=y), pair)
         return np.multiply(f, np.multiply(2.0, u, out=y), out=f)
 
     # a copy: the view np.broadcast_to makes costs about 3 us more a call

@@ -44,7 +44,14 @@ class ImpedancePair(NamedTuple):
 def q_hat(xi, k_hat, eps=1.0):
     """Decay wavenumber sqrt(k_hat^2 + eps xi^2), as an energy in eV, in a
     medium of permittivity eps: the vacuum q by default, k_t at eps_t."""
-    return np.sqrt(k_hat * k_hat + eps * xi * xi)
+    return _decay_root(k_hat * k_hat, xi, eps)
+
+
+def _decay_root(kk, xi, eps):
+    """q_hat from kk = k_hat^2, rooted in place if a float array."""
+    s = kk + eps * xi * xi
+    own = isinstance(s, np.ndarray) and s.dtype.kind == "f"
+    return np.sqrt(s, out=s if own else None)
 
 
 def fresnel(eps, xi, k_hat):
@@ -57,8 +64,7 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
 
     The TM amplitude carries a correction proportional to eps_t - eps_l
     which vanishes identically for a k-independent response, collapsing
-    both amplitudes to the Fresnel forms bit for bit.  eps has at most the
-    shape of xi and k_hat broadcast together, as eval_imag_axis gives it.
+    both amplitudes to the Fresnel forms bit for bit.
     """
     check_point(xi, k_hat)
     if np.any(eps.eps_l == 0.0):
@@ -67,29 +73,26 @@ def nonlocal_coeffs(eps: EpsPair, xi, k_hat):
 
 
 def _imag_axis_amplitudes(eps: EpsPair, xi, k_hat):
-    kk = k_hat * k_hat              # one square for both roots, taken in place
-    q, k_t = (np.sqrt(s, out=s if isinstance(s, np.ndarray) else None)
-              for s in (kk + xi * xi, kk + eps.eps_t * xi * xi))
-    return _amplitudes(eps, q, k_t, k_hat)
+    kk = k_hat * k_hat              # one square for both roots
+    return _amplitudes(eps, _decay_root(kk, xi, 1.0),
+                       _decay_root(kk, xi, eps.eps_t), k_hat)
 
 
 def _amplitudes(eps: EpsPair, q, k_t, k):
     """Both amplitudes from the vacuum and transverse normal wavenumbers
     q, k_t and the in-plane wavenumber k, all in units of one frequency.
-    Steps write in place into arrays of the chain's own, q and k_t among
-    them, in the operand order (so with the bits) of the plain formulas."""
+    Each quotient is written in place over a numerator made here, in the
+    operand order (so with the bits) of the plain formulas."""
     tm = eps.eps_t * q
     den = tm + k_t
     tm -= k_t
-    if eps.eps_l is not eps.eps_t:  # local: the TM correction is exactly 0
+    if eps.eps_l is not eps.eps_t:  # else local: the TM correction is 0
         corr = k * (eps.eps_t - eps.eps_l) / eps.eps_l
-        tm -= corr
-        den += corr
+        tm, den = tm - corr, den + corr     # eps_l may widen shape, dtype
     tm /= den
-    den = q + k_t
-    q -= k_t
-    q /= den
-    return ReflectionPair(tm, q)
+    te = q - k_t
+    te /= q + k_t
+    return ReflectionPair(tm, te)
 
 
 def impedance_closed(eps: EpsPair, xi, k_hat):

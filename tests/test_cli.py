@@ -340,8 +340,9 @@ def test_result_digest_reports_only_sets_that_differ(tmp_path, monkeypatch,
     spec.loader.exec_module(digest)
     runs = []
 
-    def set_digests(checkout, moved=None):
-        # each side runs in a copy of its checkout
+    def run_here(script, checkout, moved=None):
+        # each side runs the script in a copy of its checkout
+        assert Path(script).resolve() == SCRIPTS / "result_digest.py"
         assert not checkout.is_relative_to(tmp_path)
         assert (checkout / "marker").read_text() == checkout.name
         runs.append(checkout.name)
@@ -352,12 +353,13 @@ def test_result_digest_reports_only_sets_that_differ(tmp_path, monkeypatch,
         (tmp_path / side).mkdir()
         (tmp_path / side / "marker").write_text(side)
     sides = [str(tmp_path / side) for side in ("parent", "change")]
-    monkeypatch.setattr(digest, "set_digests", set_digests)
+    monkeypatch.setattr(digest, "run_here", run_here)
     assert digest.main(sides) == 0
     same = capsys.readouterr().out.splitlines()
     moved = "cored-nonlocal T=1 quad_tol=1e-12 term_tol=1e-15"
-    monkeypatch.setattr(digest, "set_digests",
-                        lambda checkout: set_digests(checkout, moved))
+    monkeypatch.setattr(digest, "run_here",
+                        lambda script, checkout: run_here(script, checkout,
+                                                          moved))
     assert digest.main(sides) == 1
     out = capsys.readouterr().out.splitlines()
     assert runs == ["parent", "change"] * 2
@@ -383,17 +385,19 @@ def test_result_digest_reports_only_sets_that_differ(tmp_path, monkeypatch,
 
 
 def test_pass_cost_times_each_side_in_a_copy(tmp_path, monkeypatch, capsys):
+    # it takes its models, copies and runs from result_digest.py
+    monkeypatch.syspath_prepend(str(SCRIPTS))
     spec = importlib.util.spec_from_file_location(
         "pass_cost", SCRIPTS / "pass_cost.py")
     cost = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cost)
     runs = []
 
-    def pass_costs(checkout, repeats):
+    def run_here(script, checkout):
         # each side runs in a copy of its checkout; rounds alternate sides
+        assert Path(script).resolve() == SCRIPTS / "pass_cost.py"
         assert not checkout.is_relative_to(tmp_path)
         assert (checkout / "marker").read_text() == checkout.name
-        assert repeats == 5
         runs.append(checkout.name)
         base = 40.0 if checkout.name == "parent" else 30.0
         return {name: base + len(runs) for name in cost.MODELS}
@@ -401,10 +405,12 @@ def test_pass_cost_times_each_side_in_a_copy(tmp_path, monkeypatch, capsys):
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "marker").write_text(side)
-    monkeypatch.setattr(cost, "pass_costs", pass_costs)
-    assert cost.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                      "--repeats", "5", "--rounds", "3"]) == 0
-    assert runs == ["parent", "change", "change", "parent", "parent", "change"]
+    monkeypatch.setattr(cost, "run_here", run_here)
+    assert cost.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 0
+    assert cost.ROUNDS == 5 and runs == ["parent", "change", "change",
+                                         "parent", "parent", "change",
+                                         "change", "parent", "parent",
+                                         "change"]
     out = capsys.readouterr().out.splitlines()
     # the minimum over the rounds: parent 40 + 1, change 30 + 2
     assert out[1:] == [f"{name:16}     41.0     32.0  0.780"
@@ -414,7 +420,8 @@ def test_pass_cost_times_each_side_in_a_copy(tmp_path, monkeypatch, capsys):
     # one pass of the checkout at hand: a time for every model
     monkeypatch.chdir(SCRIPTS.parent)
     monkeypatch.setattr(sys, "path", sys.path[:])   # it adds tests/
-    times = cost.pass_here(1)
+    monkeypatch.setattr(cost, "REPEATS", 1)
+    times = cost.pass_here()
     assert sorted(times) == sorted(cost.MODELS)
     assert all(0.0 < ns < math.inf for ns in times.values())
 

@@ -131,6 +131,30 @@ def test_tm_correction_vanishes_for_scalar_pairs():
     assert nonlocal_coeffs(pair, 0.5, 2.0) == fresnel(100.0, 0.5, 2.0)
 
 
+_E23 = np.array([[2.5, 3.5, 4.5], [5.0, 6.0, 7.0]])
+
+
+@pytest.mark.parametrize("eps, xi, k", [
+    (EpsPair(2, 2), 1, np.array([1, 2])),
+    (EpsPair(_E23, _E23), np.array([0.5, 1.0, 2.0]), 1.0),
+    (EpsPair(np.array([2.0, 3.0]), np.array([2.0, 3.0])), 0.5,
+     np.array([1.0, 2.0], np.float32)),
+    (EpsPair(np.array([2.0, 3.0, 4.0]), _E23), np.array([0.5, 1.0, 2.0]), 1.0),
+    (EpsPair(np.array([2.0, 3.0]), np.array([2.5 + 1j, 3.5])), 0.5,
+     np.array([1.0, 2.0])),
+], ids=["integers", "eps_t-adds-an-axis", "float32-k", "eps_l-adds-an-axis",
+        "complex-eps_l"])
+def test_amplitudes_take_the_shape_and_dtype_of_all_operands(eps, xi, k):
+    # the chain writes in place only into arrays it made at their full
+    # shape and dtype, so any operand may widen either, as in the plain
+    # formulas
+    q, k_t = (np.sqrt(k * k + e * xi * xi) for e in (1.0, eps.eps_t))
+    tq, corr = eps.eps_t * q, k * (eps.eps_t - eps.eps_l) / eps.eps_l
+    want = ((tq - k_t - corr) / (tq + k_t + corr), (q - k_t) / (q + k_t))
+    for got, plain in zip(nonlocal_coeffs(eps, xi, k), want):
+        assert got.dtype == plain.dtype and np.array_equal(got, plain)
+
+
 def test_singular_longitudinal_component_is_rejected():
     with pytest.raises(DomainError):
         nonlocal_coeffs(EpsPair(0.0, 2.0), 0.5, 1.0)
