@@ -14,13 +14,13 @@ end-to-end metric's change median is worse than the parent's by more
 than its BENCHMARK.json bound, relative to the parent's median.  Every
 run lasts PARENT's BENCHMARK.json `run_seconds`, and the workloads
 default to all of that file's.  Each checkout is
-copied, without .git and caches, to a temporary directory and run there,
-so nothing is written into either one.  Standard library only.
+copied, without .git and caches, to a temporary directory and run there
+(scripts/result_digest.py's copy_checkouts), so nothing is written into
+either one.  Standard library only.
 """
 
 import argparse
 import json
-import shutil
 import signal
 import statistics
 import subprocess
@@ -28,8 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from result_digest import SIDES, copy_checkouts
+
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_frac")
-SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -109,11 +110,7 @@ def main(argv=None):
                  else [w["name"] for w in spec["workloads"]])
 
     with tempfile.TemporaryDirectory() as scratch:
-        checkouts = {}
-        for side, path in zip(SIDES, (args.parent, args.change)):
-            checkouts[side] = Path(scratch) / side
-            shutil.copytree(path, checkouts[side], ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        checkouts = copy_checkouts((args.parent, args.change), scratch)
         for workload in workloads:
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):

@@ -6,23 +6,23 @@ Every command of MATRIX runs as `python -m nlcasimir` in a copy of each
 checkout, with the copy's src/ on PYTHONPATH.  The matrix covers every
 subcommand, kk-verify at nine wavevectors and on relation subsets in both
 orders, pressure sweeps at 1 K (the cold_local benchmark, and cored
-models, whose tail integrals measure the core's kinks) and 300 K, CSV,
-JSON and --out, and commands that exit 1 and 2.  Each command whose exit
-code, stdout, stderr or --out file differs between the two is printed
-with the first line that differs; the script exits 1 if any does.
-Each checkout is copied, without .git and caches, to a temporary
-directory, so nothing is written into either one.  Standard library only.
+models) and 300 K, CSV, JSON and --out, and commands that exit 1 and 2.
+Each command whose exit code, stdout, stderr or --out file differs
+between the two is printed with the first line that differs; the script
+exits 1 if any does.  Each checkout is copied, without .git and caches,
+to a temporary directory (scripts/result_digest.py's copy_checkouts), so
+nothing is written into either one.  Standard library only.
 """
 
 import argparse
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SIDES = ("parent", "change")
+from result_digest import SIDES, copy_checkouts
+
 FIELDS = ("exit code", "stdout", "stderr", "--out file")
 OUT, OPTICAL, EXPT = "matrix_out.txt", "matrix_optical.txt", "matrix_expt.csv"
 # data files written into both copies before the matrix runs
@@ -75,7 +75,7 @@ MATRIX = (
      "--a-max", "3", "--points", "30"],
     ["pressure", "--models", "drude,nonlocal,plasma", "--a-min", "0.02",
      "--a-max", "20", "--points", "60"],
-    # cored models at 1 K: the tail integrals measure the core's kinks
+    # cored models at 1 K, on the Euler-Maclaurin path
     ["pressure", "--models", "drude,nonlocal", "--temp", "1",
      "--optical-data", OPTICAL, "--a-min", "0.5", "--a-max", "3",
      "--points", "3"],
@@ -120,15 +120,13 @@ def main(argv=None):
 
     differ = 0
     with tempfile.TemporaryDirectory() as scratch:
-        copies = []
-        for side, path in zip(SIDES, (args.parent, args.change)):
-            copies.append(Path(scratch) / side)
-            shutil.copytree(path, copies[-1], ignore=shutil.ignore_patterns(
-                ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        copies = copy_checkouts((args.parent, args.change), scratch)
+        for copy in copies.values():
             for name, text in DATA.items():
-                (copies[-1] / name).write_text(text)
+                (copy / name).write_text(text)
         for command in MATRIX:
-            parent, change = (run_command(copy, command) for copy in copies)
+            parent, change = (run_command(copies[side], command)
+                              for side in SIDES)
             diffs = [f"  {field}: {first_difference(a, b)}"
                      for field, a, b in zip(FIELDS, parent, change) if a != b]
             if diffs:

@@ -62,6 +62,8 @@ def models_here():
 
     gold = gold_default()
     drude = Drude(gold.params.drude)
+    # the grid is for checkouts whose build_core_table still samples the
+    # core on it; one that builds Lorentz lines does not read it
     core = build_core_table(
         interband_im_eps(parse_optical_table(OPTICAL_TEXT), gold.params.drude),
         np.geomspace(1e-3, 1e2, 121))

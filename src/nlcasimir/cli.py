@@ -37,8 +37,6 @@ _KK_THRESHOLD = 1e-4
 # patched by name in perfbench/tracing.py until it wraps verify_kk (ROADMAP 1)
 verify_kk_real_from_imag_T = verify_kk_imag_from_real_T = None
 verify_kk_imag_axis_T = verify_kk_L = None
-# imaginary-axis grid used when tabulating an interband core
-_CORE_XI_GRID = np.geomspace(1e-3, 1e2, 121)
 
 
 def _fmt(x: float) -> str:
@@ -162,7 +160,7 @@ def _load_core(args):
     with open(args.optical_data, encoding="utf-8") as handle:
         table = parse_optical_table(handle.read())
     interband = interband_im_eps(table, args.params.drude)
-    return build_core_table(interband, _CORE_XI_GRID)
+    return build_core_table(interband)
 
 
 def _build_model(name: str, args, core):

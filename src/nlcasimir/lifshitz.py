@@ -62,9 +62,6 @@ pick one of two paths, and the prediction sizes the blocks:
   dy^8 <= term_tol: it is then no less accurate than the direct sum, and
   dy stays below 0.057.  Against direct sums the true error was at most
   0.72 of the estimate up to dy = 0.0625, and 1.13 at dy = 0.07.
-  A WithCore model interpolates its core linearly, so f has kinks at the
-  core's nodes; _tail_integral puts panel edges there and adds a bound
-  on what they cost the identity.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ import numpy as np
 from .constants import CONSTANTS, matsubara_xi, pressure_to_pascal
 from .errors import ConvergenceError, DomainError
 from .quadrature import _NODES, _WEIGHTS, integrate
-from .response import ResponseModel, WithCore
+from .response import ResponseModel
 from .reflection import reflection_pair, zero_freq_limit
 
 APERY = 1.2020569031595943      # zeta(3)
@@ -93,7 +90,6 @@ _DIRECT_MAX = 400               # longest predicted sum that is summed directly
 _Y0 = 0.5                       # y above which long sums are integrated
 _TAIL_SPAN = 45.0               # width in y of the tail integral
 _TAIL_PANELS = 5                # its geometric y-panels
-_KINK_STEP = 1e-3               # y-step of the stencil that measures a kink
 # Gregory coefficients G_1..G_6 of Delta^1..Delta^6 f(y0)
 _GREGORY = (-1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
 # row k: Delta^k f(y0) as weights on the eight terms f(y0), ..., f(y0 + 7 dy)
@@ -190,51 +186,11 @@ def _integrate(model, quad_tol, c1, xi, y_lo):
     return integrate(u_integrand, edges, quad_tol)
 
 
-def _checked(values, errors, converged, quad_tol):
-    """(values, errors) as lists; ConvergenceError with an estimate if a
-    row stalled."""
-    if not converged.all():
-        raise ConvergenceError(
-            f"wavevector quadrature stalled above tolerance {quad_tol}",
-            last_estimate=float(values[~converged][0]))
-    return values.tolist(), errors.tolist()
-
-
-def _tail_integral(model, c1, y0, dy, quad_tol):
-    """A generator of (1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy: for a
-    WithCore model it first yields its kink stencil as term rows (c1, xi,
-    y) and is sent their (integrals, errors, converged); then it yields
-    (c1, edges), is sent its row of _tail_rows, which integrates the
-    tails of a whole batch together, and yields (the integral over dy,
-    its error bound, converged).
-
-    The bound takes |K21 - G10| and what the nodes' own errors can add
-    (_tail_rows).  For a WithCore model it adds what the kinks np.interp
-    puts into f at the nodes of the core table cost the Euler-Maclaurin
-    identity: dy |J| B_2/2, B_2 <= 1/6, for a jump J of f' beyond the eight
-    difference terms, and up to dy |J|/4 among them.  Panel edges sit on
-    the kinks.
-    """
-    edges = y0 * ((y0 + _TAIL_SPAN) / y0) ** (
+def _tail_edges(y0):
+    """The edges of the _TAIL_PANELS geometric y-panels of the tail integral
+    int_{y0}^{y0 + _TAIL_SPAN} f(y) dy."""
+    return y0 * ((y0 + _TAIL_SPAN) / y0) ** (
         np.arange(_TAIL_PANELS + 1) / _TAIL_PANELS)
-    kinks = np.empty(0)
-    if isinstance(model, WithCore):
-        # every core node, clipped to the span: one width for every c1
-        kinks = model.core.xi_grid / c1
-        edges = np.sort(np.concatenate([edges, kinks.clip(y0, edges[-1])]))
-        kinks = kinks[(kinks > y0) & (kinks < edges[-1])]
-
-    kink_bound = 0.0
-    if len(kinks):
-        # J from five points around each kink, exact for a cubic plus
-        # J (y - kink)_+
-        y = (kinks[:, None] + _KINK_STEP * np.arange(-2.0, 3.0)).ravel()
-        fy = np.reshape(_checked(*(yield c1, c1 * y, y), quad_tol)[0], (-1, 5))
-        jump = np.abs(fy @ (1.0, -4.0, 6.0, -4.0, 1.0)) / (2.0 * _KINK_STEP)
-        share = np.where(kinks > y0 + 7.0 * dy, 1.0 / 12.0, 0.25)
-        kink_bound = dy * float(share @ jump)
-    value, err, ok, node_err = yield c1, edges
-    yield value / dy, (err + node_err) / dy + kink_bound, ok
 
 
 def _tail_rows(model, quad_tol, requests):
@@ -328,7 +284,6 @@ class _Sum:
             self.l0 = None
             self.rows = math.ceil(predicted) + 1
         self.ends = []      # (term, err) of l0..l0+7, Euler-Maclaurin path
-        self.tail = None    # its _tail_integral, once its terms are read
         self.acc = self.comp = self.quad_err = 0.0  # comp: Kahan compensation
         self.terms = []
         self.l, self.end = -1, 0    # the last term read, and the block's
@@ -376,13 +331,14 @@ class _Sum:
         return not done
 
     def result(self, tail=None):
-        """The PressureResult, given on the Euler-Maclaurin path the tail
-        ((1/dy) int f dy, its error bound, converged) of _tail_integral."""
+        """The PressureResult, given on the Euler-Maclaurin path the tail's
+        row of _tail_rows: (int f dy, |K21 - G10|, converged, node error).
+        The tail's bound is the sum of the last two, over dy."""
         prefactor, acc, quad_err = self.prefactor, self.acc, self.quad_err
         if tail:
-            integral, integral_err, ok = tail
+            integral, err, ok, node_err = tail
             f, f_err = np.array(self.ends).T
-            value = integral + float(_GREGORY_WEIGHTS @ f)
+            value = integral / self.dy + float(_GREGORY_WEIGHTS @ f)
             acc += value - self.comp        # the last compensated step
             self.terms.append(value)
             if not ok:
@@ -390,7 +346,8 @@ class _Sum:
                     "Matsubara tail integral stalled above tolerance "
                     f"{self.query.quad_tol}",
                     last_estimate=pressure_to_pascal(prefactor * acc))
-            quad_err += (integral_err + float(np.abs(_GREGORY_WEIGHTS) @ f_err)
+            quad_err += ((err + node_err) / self.dy
+                         + float(np.abs(_GREGORY_WEIGHTS) @ f_err)
                          + 2.0 * abs(_GREGORY[-1] * float(_DELTA[7] @ f)))
             terms_used = self.l0 + int(_TAIL_SPAN / self.dy) + 1
         else:
@@ -426,48 +383,33 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     # each stage takes the sums in ascending order, and a failure drops
     # every later sum, so the error kept is that of the first failing query
     while sums:
-        sizes = [len(s.request[2]) if s.tail else s.end - s.l for s in sums]
+        sizes = [s.end - s.l for s in sums]
         starts = list(accumulate(sizes, initial=0))
         # per row: xi_1, 2a/(hbar c), c1 and l minus the row's index
         xi_1, scale, c1, l = np.array(
             [(s.xi_1, s.scale, s.c1, s.l + 1 - j)
              for s, j in zip(sums, starts)]).repeat(sizes, axis=0).T
         xi = xi_1 * (np.arange(len(l)) + l)
-        y_lo = scale * xi
-        for s, j, n in zip(sums, starts, sizes):
-            if s.tail:          # a kink stencil: its own rows (c1, xi, y)
-                xi[j:j + n], y_lo[j:j + n] = s.request[1:]
         static = sums[0].l < 0      # the first round: every static term, l = 0
-        integrals = _integrate(model, quad_tol, c1, None if static else xi, y_lo)
-        values, errors, ok = (r.tolist() for r in integrals)
+        values, errors, ok = (r.tolist() for r in _integrate(
+            model, quad_tol, c1, None if static else xi, scale * xi))
         reading, sums = sums, []
         for s, row in zip(reading, starts):
             try:
-                if s.tail:
-                    s.request = s.tail.send(tuple(
-                        r[row:row + len(s.request[2])] for r in integrals))
-                elif s.read(values, errors, ok, row):
+                if s.read(values, errors, ok, row):
                     sums.append(s)
-                    continue
-                elif s.l0:
-                    s.tail = _tail_integral(model, s.c1, s.l0 * s.dy, s.dy,
-                                            quad_tol)
-                    s.request = next(s.tail)
-                else:
+                elif not s.l0:
                     results[s.index] = s.result()
-                    continue
             except (ConvergenceError, DomainError) as exc:
                 error, cut = exc, s.index
                 break
-            if len(s.request) == 3:     # a kink stencil joins the next round
-                sums.append(s)
     # the tails of the long sums wait until no sum has terms left
     tails = [s for s in everyone[:cut] if s.l0]
-    rows = (_tail_rows(model, quad_tol, [s.request for s in tails]) if tails
-            else ())
+    rows = (_tail_rows(model, quad_tol, [(s.c1, _tail_edges(s.l0 * s.dy))
+                                         for s in tails]) if tails else ())
     for s, row in zip(tails, rows):
         try:
-            results[s.index] = s.result(s.tail.send(row))
+            results[s.index] = s.result(row)
         except (ConvergenceError, DomainError) as exc:
             error = exc
             break

@@ -10,14 +10,23 @@ zero isolates the interband contribution, whose dispersion integral
 replaces the unity of an analytic model when wrapped as WithCore.  The
 integral is evaluated by the trapezoid rule on the measured grid; the
 table is the only information available, so higher-order schemes would
-just invent smoothness.
+just invent smoothness.  That rule is a finite sum of lossless Lorentz
+lines, one at each row energy x_j,
+
+    eps_core(i xi) = 1 + sum_j c_j / (x_j^2 + xi^2),
+    c_j = (2/pi) w_j x_j Im eps_ib(x_j),
+
+with w_j the trapezoid weights of the grid: the oscillator form of the
+core (Bordag, Klimchitskaya, Mohideen and Mostepanenko, Advances in the
+Casimir Effect, OUP 2009).  CoreTable holds the lines, so the core is
+analytic in xi and exact at every xi >= 0, the static limit included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,35 +125,43 @@ def core_imag_axis(ib: InterbandImEps, xi: float) -> float:
 
 @dataclass(frozen=True)
 class CoreTable:
-    """Core function precomputed on a frequency grid, linearly interpolated.
+    """The interband core as Lorentz lines: energies x_j in eV, finite and
+    positive, and strengths c_j in eV^2, finite and >= 0, one per line."""
 
-    Above the grid the excess over unity is extrapolated with the 1/xi^2
-    decay of the dispersion kernel; below the grid the first value is held.
-    """
-
-    xi_grid: np.ndarray
-    core_values: np.ndarray
+    energy: np.ndarray
+    strength: np.ndarray
 
     def __post_init__(self):
-        if len(self.xi_grid) == 0:
-            raise DomainError("empty core grid")
-        if np.any(np.diff(self.xi_grid) <= 0.0) or self.xi_grid[0] <= 0.0:
-            raise DomainError("core grid must be positive and increasing")
+        if len(self.energy) != len(self.strength):
+            raise DomainError("a core needs one strength per energy")
+        # written so that NaN fails too
+        if not np.all((0.0 < self.energy) & (self.energy < math.inf)):
+            raise DomainError("core energies must be finite and positive")
+        if not np.all((0.0 <= self.strength) & (self.strength < math.inf)):
+            raise DomainError("core strengths must be finite and >= 0")
 
     def value_at(self, xi):
-        """Core value at xi > 0, a float for a scalar and an array for an
-        array of frequencies."""
+        """1 + sum_j c_j/(x_j^2 + xi^2) at xi >= 0, a float for a scalar and
+        an array for an array of frequencies.  The lines are added one at a
+        time, in table order, so each element has the bits of its own call."""
         x = np.asarray(xi, dtype=float)
-        if not np.all(x > 0.0):                     # NaN fails too
-            raise DomainError(f"xi must be positive, got {np.min(x)}")
-        top = self.xi_grid[-1]
-        values = np.where(x > top,
-                          1.0 + (self.core_values[-1] - 1.0) * (top / x) ** 2,
-                          np.interp(x, self.xi_grid, self.core_values))
+        if not np.all(x >= 0.0):                    # NaN fails too
+            raise DomainError(f"xi must be >= 0, got {np.min(x)}")
+        x2 = x * x
+        total = np.zeros(x.shape)
+        for e, c in zip(self.energy.tolist(), self.strength.tolist()):
+            total += c / (e * e + x2)
+        values = 1.0 + total
         return float(values) if values.ndim == 0 else values
 
 
-def build_core_table(ib: InterbandImEps, xi_grid: Sequence[float]) -> CoreTable:
-    grid = np.asarray(xi_grid, dtype=float)
-    values = np.array([core_imag_axis(ib, xi) for xi in grid])
-    return CoreTable(grid, values)
+def build_core_table(ib: InterbandImEps, xi_grid=None) -> CoreTable:
+    """The Lorentz lines of core_imag_axis's trapezoid sum on ib's rows;
+    lines of zero strength add nothing and are left out.  xi_grid is not
+    read: it remains for callers that still pass the grid of the former
+    tabulated core."""
+    x = ib.energy
+    ends = np.pad(x, 1, mode="edge")
+    strength = (2.0 / math.pi) * (0.5 * (ends[2:] - ends[:-2])) * x * ib.im_eps
+    lines = strength > 0.0
+    return CoreTable(x[lines], strength[lines])

@@ -197,7 +197,7 @@ def zero_freq_limit(model: ResponseModel, k_hat):
     if isinstance(model, WithCore):
         # a core shifts the static eps_L, which feeds the nonlocal TM
         # limit; TE is core-blind (core xi^2 -> 0)
-        model, core = model.inner, float(model.core.core_values[0])
+        model, core = model.inner, model.core.value_at(0.0)
     if isinstance(model, PerfectReflector):
         return ReflectionPair(1.0, -1.0)
     r_tm = 1.0
@@ -245,10 +245,14 @@ def real_axis_coeffs(model: ResponseModel, omega, theta):
     if isinstance(model, PerfectReflector):
         return ReflectionPair(complex(1.0), complex(-1.0))
     st = math.sin(theta)
-    pair = eval_real_axis(model, omega, omega * st)
+    eps_l, eps_t, _ = eval_real_axis(model, omega, omega * st)
+    if st == 0.0 and eps_t == 0.0:      # r_TM is 0/0; its limit is -r_TE
+        return ReflectionPair(complex(-1.0), complex(1.0))
+    # equal components (a local model) take no TM correction, 0/0 at eps = 0;
     # the imaginary-axis formulas with every wavenumber divided by -i omega
-    return _amplitudes(pair, math.cos(theta),
-                       complex(_decaying_root(pair.eps_t - st * st)), 1j * st)
+    return _amplitudes(EpsPair(eps_t if eps_l == eps_t else eps_l, eps_t),
+                       math.cos(theta),
+                       complex(_decaying_root(eps_t - st * st)), 1j * st)
 
 
 class ReflectanceDeviation(NamedTuple):

@@ -46,8 +46,7 @@ def parse_csv(text):
 def core_table(params):
     """The interband core the CLI builds from OPTICAL_TEXT."""
     return build_core_table(
-        interband_im_eps(parse_optical_table(OPTICAL_TEXT), params.drude),
-        np.geomspace(1e-3, 1e2, 121))
+        interband_im_eps(parse_optical_table(OPTICAL_TEXT), params.drude))
 
 
 def test_epsilon_imag_matches_the_library(capsys):
@@ -203,6 +202,8 @@ def test_study_scripts_run(tmp_path):
 
 
 def test_bench_pairs_alternates_sides_on_copies(tmp_path, monkeypatch, capsys):
+    # it copies the checkouts with result_digest.py
+    monkeypatch.syspath_prepend(str(SCRIPTS))
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", SCRIPTS / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
@@ -259,7 +260,9 @@ def test_bench_pairs_alternates_sides_on_copies(tmp_path, monkeypatch, capsys):
         "BENCHMARK.json", "BENCHMARK.json", "change", "parent"]
 
 
-def test_bench_pairs_verdicts_follow_the_claim_rule_and_the_bounds():
+def test_bench_pairs_verdicts_follow_the_claim_rule_and_the_bounds(
+        monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))   # it imports result_digest.py
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", SCRIPTS / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
@@ -287,6 +290,8 @@ def test_bench_pairs_verdicts_follow_the_claim_rule_and_the_bounds():
 
 def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
                                                      capsys):
+    # it copies the checkouts with result_digest.py
+    monkeypatch.syspath_prepend(str(SCRIPTS))
     spec = importlib.util.spec_from_file_location(
         "cli_matrix", SCRIPTS / "cli_matrix.py")
     matrix = importlib.util.module_from_spec(spec)
@@ -321,7 +326,7 @@ def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
                         "kk-verify"}
     assert ["kk-verify", "--kperp", "0"] in matrix.MATRIX
     assert ["kk-verify", "--relations", "eq-31"] in matrix.MATRIX
-    # and a cold cored sweep, whose tails measure kinks with stencils
+    # and a cold cored sweep, on the Euler-Maclaurin path
     assert ["pressure", "--models", "drude,nonlocal", "--temp", "1",
             "--optical-data", matrix.OPTICAL, "--a-min", "0.5", "--a-max", "3",
             "--points", "3"] in matrix.MATRIX

@@ -10,7 +10,10 @@ from nlcasimir import (CoreTable, DomainError, DrudeParams, InterbandImEps,
                        ParseError, build_core_table, core_imag_axis,
                        drude_im_eps, interband_im_eps, parse_optical_table)
 
+from conftest import OPTICAL_TEXT
+
 GOLD_DRUDE = DrudeParams(9.0, 0.035)
+HAND_IB = InterbandImEps(np.array([1.0, 2.0, 4.0]), np.array([0.5, 3.0, 1.0]))
 
 
 def test_parse_accepts_comments_and_blank_lines(optical_text):
@@ -114,52 +117,47 @@ def test_core_integral_rejects_nonpositive_xi():
 @given(x1=st.floats(0.01, 50.0), x2=st.floats(0.01, 50.0))
 @settings(deadline=None)
 def test_core_never_increases_with_frequency(x1, x2):
-    ib = InterbandImEps(np.array([1.0, 2.0, 4.0]), np.array([0.5, 3.0, 1.0]))
     lo, hi = sorted((x1, x2))
-    assert core_imag_axis(ib, lo) >= core_imag_axis(ib, hi)
-    assert core_imag_axis(ib, hi) >= 1.0
+    assert core_imag_axis(HAND_IB, lo) >= core_imag_axis(HAND_IB, hi)
+    assert core_imag_axis(HAND_IB, hi) >= 1.0
 
 
-def test_core_table_interpolates_linearly():
-    core = CoreTable(np.array([1.0, 2.0]), np.array([3.0, 5.0]))
-    assert core.value_at(1.5) == 4.0
-    assert core.value_at(1.0) == 3.0
+CORE_IB = interband_im_eps(parse_optical_table(OPTICAL_TEXT), GOLD_DRUDE)
 
 
-def test_core_table_holds_below_and_decays_above():
-    core = CoreTable(np.array([1.0, 2.0]), np.array([3.0, 5.0]))
-    assert core.value_at(0.25) == 3.0
-    # excess over unity falls off as (top/xi)^2 past the grid
-    assert math.isclose(core.value_at(4.0), 1.0 + 4.0 * 0.25, rel_tol=1e-15)
-    # a (terms x 1) column, as the vectorized pressure path passes it,
-    # with points below, inside and above the grid
-    got = core.value_at(np.array([[0.25], [1.5], [4.0]]))
-    assert got.shape == (3, 1)
-    assert got[0, 0] == 3.0 and got[1, 0] == 4.0
-    assert math.isclose(got[2, 0], 1.0 + 4.0 * 0.25, rel_tol=1e-15)
+@given(ib=st.sampled_from([CORE_IB, HAND_IB]), log_xi=st.floats(-4.0, 3.0))
+@settings(deadline=None)
+def test_core_lines_are_the_trapezoid_core(ib, log_xi):
+    # the Lorentz lines are core_imag_axis's trapezoid sum, rearranged
+    xi = 10.0 ** log_xi
+    assert math.isclose(build_core_table(ib).value_at(xi),
+                        core_imag_axis(ib, xi), rel_tol=1e-15)
+
+
+def test_core_lines_give_an_array_the_bits_of_its_scalar_calls():
+    core = build_core_table(CORE_IB)
+    # the rows clamped to zero add no line; a grid argument is not read
+    assert core.energy.tolist() == CORE_IB.energy[CORE_IB.im_eps > 0].tolist()
+    grid_core = build_core_table(CORE_IB, [0.1, 1.0, 10.0])
+    assert grid_core.strength.tolist() == core.strength.tolist()
+    # a (terms x 1) column, as the pressure path passes it, xi = 0 included
+    xi = np.append(0.0, np.geomspace(1e-4, 1e3, 28))[:, None]
+    got = core.value_at(xi)
+    assert got.shape == (29, 1)
+    assert got.ravel().tolist() == [core.value_at(x) for x in xi.ravel().tolist()]
     assert isinstance(core.value_at(1.5), float)
 
 
 def test_core_table_validation():
-    with pytest.raises(DomainError):
-        CoreTable(np.array([]), np.array([]))
-    with pytest.raises(DomainError):
-        CoreTable(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(DomainError):
-        CoreTable(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    for energy, strength in [([1.0, 2.0], [1.0]), ([0.0], [1.0]),
+                             ([-1.0], [1.0]), ([math.inf], [1.0]),
+                             ([math.nan], [1.0]), ([1.0], [-1.0]),
+                             ([1.0], [math.inf]), ([1.0], [math.nan])]:
+        with pytest.raises(DomainError):
+            CoreTable(np.array(energy), np.array(strength))
     core = CoreTable(np.array([1.0, 2.0]), np.array([3.0, 5.0]))
-    with pytest.raises(DomainError):
-        core.value_at(-1.0)
-    with pytest.raises(DomainError):
-        core.value_at(math.nan)
-    with pytest.raises(DomainError):
-        core.value_at(np.array([[1.5], [0.0]]))
-
-
-def test_build_core_table_evaluates_the_core_on_its_grid(optical_text):
-    table = parse_optical_table(optical_text)
-    ib = interband_im_eps(table, GOLD_DRUDE)
-    core = build_core_table(ib, [0.1, 1.0, 10.0])
-    assert core.xi_grid.tolist() == [0.1, 1.0, 10.0]
-    assert core.core_values.tolist() == [core_imag_axis(ib, xi)
-                                         for xi in (0.1, 1.0, 10.0)]
+    assert core.value_at(0.0) == 1.0 + (3.0 + 5.0 / 4.0)
+    for xi in (-1.0, math.nan, np.array([[1.5], [-0.5]]),
+               np.array([0.0, math.nan])):
+        with pytest.raises(DomainError):
+            core.value_at(xi)

@@ -4,6 +4,7 @@ static limits, and real-frequency reflectances.
 Frozen numbers come from 40-digit evaluations of the closed forms.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -124,6 +125,15 @@ def test_a_local_pair_skips_the_tm_correction_on_the_real_axis(
 
         patch.setattr("nlcasimir.reflection.eval_real_axis", copying)
         assert _bits(real_axis_coeffs(model, omega, theta)) == _bits(shared)
+
+
+def test_the_real_axis_amplitudes_hold_at_the_plasma_frequency():
+    # eps = 0 at omega = omega_p: the TM correction of a local pair, 0/0
+    # there, is skipped, and at normal incidence r_TM takes its limit -r_TE
+    for theta in (0.0, 0.5):
+        pair = real_axis_coeffs(Plasma(9.0), 9.0, theta)
+        assert pair.r_tm == -1.0
+        assert cmath.isclose(pair.r_te, cmath.exp(-2j * theta), rel_tol=1e-15)
 
 
 def test_tm_correction_vanishes_for_scalar_pairs():
@@ -275,7 +285,7 @@ def test_static_limits_of_the_local_models():
     assert math.isclose(pl.r_te, -0.1715728752538099, rel_tol=1e-14)
     # Drude without dissipation is plasma, bare and with a core
     lossless = Drude(DrudeParams(9.0, 0.0))
-    core = CoreTable(np.array([0.05, 10.0]), np.array([4.0, 1.1]))
+    core = CoreTable(np.array([3.0, 10.0]), np.array([27.0, 10.0]))
     for model in (lossless, WithCore(lossless, core)):
         assert zero_freq_limit(model, 9.0) == pl
 
@@ -319,12 +329,14 @@ def test_static_nonlocal_limit_needs_dissipation():
 
 
 def test_static_limit_with_interband_core():
-    core = CoreTable(np.array([0.05, 10.0]), np.array([4.0, 1.1]))
+    core = CoreTable(np.array([3.0, 10.0]), np.array([27.0, 10.0]))
     p = GOLD.params
     k = 2.0
     cored = zero_freq_limit(WithCore(GOLD, core), k)
     plain = zero_freq_limit(GOLD, k)
-    c0 = core.core_values[0]
+    # the exact static core, 1 + sum_j c_j/x_j^2
+    c0 = core.value_at(0.0)
+    assert c0 == 1.0 + (27.0 / 9.0 + 10.0 / 100.0)
     gvk = p.drude.gamma * p.v_l_ratio * k
     wp2 = p.drude.omega_p**2
     expected_tm = (wp2 + gvk * (c0 - 1.0)) / (wp2 + gvk * (c0 + 1.0))

@@ -151,7 +151,7 @@ def test_real_axis_result_is_shaped_by_what_the_model_depends_on():
 
 
 def test_with_core_shifts_both_components():
-    core = CoreTable(np.array([0.1, 1.0, 10.0]), np.array([5.0, 3.0, 1.5]))
+    core = CoreTable(np.array([0.1, 1.0, 10.0]), np.array([0.04, 2.0, 50.0]))
     model = WithCore(DRUDE, core)
     inner = eval_imag_axis(DRUDE, 0.5, 0.7)
     shifted = eval_imag_axis(model, 0.5, 0.7)
@@ -161,7 +161,7 @@ def test_with_core_shifts_both_components():
 
 
 def test_with_core_wraps_the_nonlocal_model_too():
-    core = CoreTable(np.array([0.1, 10.0]), np.array([4.0, 1.2]))
+    core = CoreTable(np.array([3.0, 10.0]), np.array([27.0, 10.0]))
     shifted = eval_imag_axis(WithCore(GOLD, core), XI, 1.0)
     plain = eval_imag_axis(GOLD, XI, 1.0)
     shift = core.value_at(XI) - 1.0
@@ -170,7 +170,7 @@ def test_with_core_wraps_the_nonlocal_model_too():
 
 
 def test_with_core_has_no_real_axis_form():
-    core = CoreTable(np.array([0.1, 10.0]), np.array([4.0, 1.2]))
+    core = CoreTable(np.array([3.0, 10.0]), np.array([27.0, 10.0]))
     with pytest.raises(UnsupportedOperationError):
         eval_real_axis(WithCore(DRUDE, core), 0.5)
 
