@@ -136,10 +136,8 @@ def test_core_lines_are_the_trapezoid_core(ib, log_xi):
 
 def test_core_lines_give_an_array_the_bits_of_its_scalar_calls():
     core = build_core_table(CORE_IB)
-    # the rows clamped to zero add no line; a grid argument is not read
+    # the rows clamped to zero add no line
     assert core.energy.tolist() == CORE_IB.energy[CORE_IB.im_eps > 0].tolist()
-    grid_core = build_core_table(CORE_IB, [0.1, 1.0, 10.0])
-    assert grid_core.strength.tolist() == core.strength.tolist()
     # a (terms x 1) column, as the pressure path passes it, xi = 0 included
     xi = np.append(0.0, np.geomspace(1e-4, 1e3, 28))[:, None]
     got = core.value_at(xi)
@@ -161,3 +159,16 @@ def test_core_table_validation():
                np.array([0.0, math.nan])):
         with pytest.raises(DomainError):
             core.value_at(xi)
+
+
+def test_build_core_table_evaluates_the_core_on_its_grid(optical_text):
+    table = parse_optical_table(optical_text)
+    ib = interband_im_eps(table, GOLD_DRUDE)
+    grid = [0.1, 1.0, 10.0]
+    core = build_core_table(ib, grid)
+    # the grid is not read: the lines are those of a core built without one
+    assert core.energy.tolist() == build_core_table(ib).energy.tolist()
+    assert core.strength.tolist() == build_core_table(ib).strength.tolist()
+    for xi in grid:
+        assert math.isclose(core.value_at(xi), core_imag_axis(ib, xi),
+                            rel_tol=1e-15)
