@@ -7,9 +7,9 @@ that misses its tolerance, each panel whose error exceeds its width's
 share of it is bisected, all rows at once in another pass, until the row
 meets it or has _MAX_PANELS panels.
 
-quad is scipy's QUADPACK integrator, which only the reference paths
-(pv_integral, impedance_numeric) call; it imports scipy on its first call,
-because scipy.integrate takes most of the package's import time.
+quad is scipy's QUADPACK integrator, which only the reference path
+pv_integral calls; it imports scipy on its first call, because
+scipy.integrate takes most of the package's import time.
 """
 
 from __future__ import annotations

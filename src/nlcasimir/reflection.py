@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import quad
+from .quadrature import integrate
 from .response import (Drude, EpsPair, NonlocalAlt, PerfectReflector, Plasma,
                        ResponseModel, WithCore, check_point, eval_imag_axis,
                        eval_real_axis, pole_weight)
@@ -116,60 +116,52 @@ def coeffs_from_impedance(z: ImpedancePair, xi, k_hat):
     return ReflectionPair(r_tm, r_te)
 
 
-# QUADPACK refuses a relative tolerance below 50 machine epsilons
-_QUADPACK_MIN_EPSREL = 50.0 * np.finfo(float).eps
-
-
 def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
     """Surface impedances from their defining k_z integrals.
 
     eps_of_k(xi, k_perp_hat, k_z_hat) -> EpsPair may depend on the full
-    wavevector, but must be even in k_z.  The even integrands are folded
-    onto k_z > 0 and mapped by k_z = s tan(theta) with s = sqrt(k_hat^2 +
-    eps_t(k_z = 0) xi^2), so z = (2 xi/pi) int_0^{pi/2} d theta of an
-    integrand that stays bounded and finite at both ends: their 1/k_z^2
-    tails become finite values at theta = pi/2.  Each impedance is one
-    adaptive quadrature at relative tolerance tol/4, or QUADPACK's floor
-    of 50 machine epsilons if that is larger.
+    wavevector, but must be even in k_z.  It is called once with the float
+    k_z_hat = 0.0, then with 2-d float arrays of k_z_hat >= 0, and may
+    return scalars or arrays that broadcast against them.  The even
+    integrands are folded onto k_z > 0 and mapped by k_z = s tan(theta)
+    with s = sqrt(k_hat^2 + eps_t(k_z = 0) xi^2), so z = (2 xi/pi)
+    int_0^{pi/2} d theta of an integrand that stays bounded and finite at
+    both ends: their 1/k_z^2 tails become finite values at theta = pi/2.
+    Both impedances are rows of one G10/K21 block (nlcasimir.quadrature),
+    each on 4 equal panels at relative tolerance tol/4.
 
-    Raises ConvergenceError carrying the estimate if QUADPACK's error
-    estimate for either integral exceeds tol times its value.
+    Raises DomainError unless xi is finite and > 0, k_hat finite and >= 0
+    and tol finite and > 0, and ConvergenceError carrying the estimate
+    unless the error estimate of each integral is at most tol times its
+    value.
     """
     if not 0.0 < xi < math.inf:                     # NaN fails too
         raise DomainError("impedance_numeric needs a finite xi > 0")
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
+    check_point(xi, k_hat)
 
     xi2, kp2 = xi * xi, k_hat * k_hat
     s = math.sqrt(abs(kp2 + eps_of_k(xi, k_hat, 0.0).eps_t * xi2))
     s2 = s * s
 
-    # with c = cos(theta), n = sin(theta): k_z^2 = s^2 n^2 / c^2 and the
-    # Jacobian s / c^2 cancels every 1/c^2 the denominators bring in
-    def tm_integrand(theta):
-        c2 = math.cos(theta) ** 2
-        n2 = math.sin(theta) ** 2
-        pair = eps_of_k(xi, k_hat, s * math.tan(theta))
+    # row 0 is z_tm, row 1 z_te; with c = cos(theta), n = sin(theta): k_z^2
+    # = s^2 n^2 / c^2 and the Jacobian s / c^2 cancels every 1/c^2 the
+    # denominators bring in
+    def integrand(rows, theta):
+        c2 = np.cos(theta) ** 2
+        n2 = np.sin(theta) ** 2
+        pair = eps_of_k(xi, k_hat, s * np.tan(theta))
         k_t2 = kp2 + pair.eps_t * xi2
-        return s * (kp2 / (xi2 * pair.eps_l) + s2 * n2 / (k_t2 * c2 + s2 * n2)) \
-            / (kp2 * c2 + s2 * n2)
+        sn2 = s2 * n2
+        den_t = k_t2 * c2 + sn2
+        tm = s * (kp2 / (xi2 * pair.eps_l) + sn2 / den_t) / (kp2 * c2 + sn2)
+        return np.where((rows == 0)[:, None], tm, s / den_t)
 
-    def te_integrand(theta):
-        c2 = math.cos(theta) ** 2
-        n2 = math.sin(theta) ** 2
-        pair = eps_of_k(xi, k_hat, s * math.tan(theta))
-        k_t2 = kp2 + pair.eps_t * xi2
-        return s / (k_t2 * c2 + s2 * n2)
-
-    values, missed = [], []
-    for f in (tm_integrand, te_integrand):
-        value, abserr = quad(f, 0.0, math.pi / 2.0, epsabs=0.0,
-                             epsrel=max(tol / 4.0, _QUADPACK_MIN_EPSREL),
-                             limit=200)
-        values.append((2.0 * xi / math.pi) * value)
-        missed.append(abserr > tol * abs(value))
-    pair = ImpedancePair(*values)
-    if any(missed):
+    edges = np.tile(np.linspace(0.0, math.pi / 2.0, 5), (2, 1))
+    values, errors, _ = integrate(integrand, edges, tol / 4.0)
+    pair = ImpedancePair(*((2.0 * xi / math.pi) * values).tolist())
+    if not np.all(errors <= tol * np.abs(values)):  # NaN misses too
         raise ConvergenceError(
             f"impedance integrals did not reach {tol} "
             f"(xi={xi}, k_hat={k_hat})", last_estimate=pair)

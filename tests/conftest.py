@@ -1,11 +1,18 @@
-"""Shared test data and the acceptance-verdict summary hook.
+"""Shared test data and helpers, and the acceptance-verdict summary hook.
 
 The optical table is a small synthetic n,k set: low rows sit below the
 free-electron dissipation (so the interband subtraction clamps them to
 zero), high rows sit above it.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import nlcasimir
 
 # verdict lines registered by test_acceptance.py, echoed after the run
 ACCEPTANCE_LINES = []
@@ -32,3 +39,13 @@ OPTICAL_TEXT = """\
 @pytest.fixture
 def optical_text():
     return OPTICAL_TEXT
+
+
+def run_python(args, cwd=None):
+    """Run a fresh interpreter that imports this nlcasimir."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nlcasimir.__file__).parent.parent),
+         *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, cwd=cwd, timeout=120)

@@ -3,8 +3,6 @@
 import importlib.util
 import json
 import math
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +18,7 @@ from nlcasimir import (RELATIONS, ConvergenceError, Drude, NonlocalAlt,
                        parse_optical_table)
 from nlcasimir.cli import run
 
-from conftest import OPTICAL_TEXT
+from conftest import OPTICAL_TEXT, run_python
 
 EXPT_TEXT = """\
 a_um, Fprime, sigma
@@ -69,16 +67,6 @@ def test_identical_invocations_emit_identical_bytes(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
-
-
-def run_python(args, cwd=None):
-    """Run a fresh interpreter that imports this nlcasimir."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(nlcasimir.__file__).parent.parent),
-         *filter(None, [env.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          env=env, cwd=cwd, timeout=120)
 
 
 def test_python_dash_m_runs_the_cli(capsys):

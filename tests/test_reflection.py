@@ -21,6 +21,8 @@ from nlcasimir import (ConvergenceError, CoreTable, DomainError, Drude,
                        reflectance_deviation, reflection_pair, zero_freq_limit)
 from nlcasimir.reflection import q_hat
 
+from conftest import run_python
+
 XI = 0.162433
 GOLD = gold_default()
 DRUDE = Drude(GOLD.params.drude)
@@ -214,6 +216,55 @@ def test_numeric_impedance_agrees_with_closed_form():
         assert math.isclose(zn.z_te, zc.z_te, rel_tol=1e-6)
 
 
+LOG_ENERGY = st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e)  # eV
+
+
+@given(model=st.sampled_from([GOLD, DRUDE, Plasma(GOLD.params.drude.omega_p)]),
+       xi=LOG_ENERGY, k=st.just(0.0) | LOG_ENERGY)
+@settings(deadline=None)
+def test_numeric_impedance_agrees_with_closed_form_over_decades(model, xi, k):
+    def eps_of_k(xi, k_hat, kz):
+        return eval_imag_axis(model, xi, k_hat)
+
+    zc = impedance_closed(eval_imag_axis(model, xi, k), xi, k)
+    zn = impedance_numeric(eps_of_k, xi, k)
+    assert math.isclose(zn.z_tm, zc.z_tm, rel_tol=1e-6)
+    assert math.isclose(zn.z_te, zc.z_te, rel_tol=1e-6)
+
+
+def test_numeric_impedance_hands_eps_of_k_arrays_of_k_z():
+    # one float call at k_z = 0 sets the scale, then each pass is one call
+    # on 2-d nodes; scalars returned (a k_z-blind response) broadcast
+    seen = []
+
+    def eps_of_k(xi, k_hat, kz):
+        seen.append(kz)
+        return eval_imag_axis(GOLD, xi, k_hat)
+
+    zn = impedance_numeric(eps_of_k, 0.3, 0.7)
+    zc = impedance_closed(eval_imag_axis(GOLD, 0.3, 0.7), 0.3, 0.7)
+    assert math.isclose(zn.z_tm, zc.z_tm, rel_tol=1e-6)
+    assert math.isclose(zn.z_te, zc.z_te, rel_tol=1e-6)
+    first, *passes = seen
+    assert type(first) is float and first == 0.0
+    assert passes
+    for kz in passes:
+        assert isinstance(kz, np.ndarray) and kz.ndim == 2
+        assert kz.dtype == np.float64 and np.all(kz >= 0.0)
+
+
+def test_numeric_impedance_loads_no_scipy():
+    done = run_python(["-c", """\
+import sys
+from nlcasimir import eval_imag_axis, gold_default, impedance_numeric
+gold = gold_default()
+impedance_numeric(lambda xi, k, kz: eval_imag_axis(gold, xi, k), 1.0, 1.0)
+print("scipy" in sys.modules)
+"""])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().split() == ["False"]
+
+
 def test_numeric_impedance_sees_normal_wavevector_dependence():
     # a response softening with k_z must raise z_te above the closed form
     # evaluated at k_z = 0, which uses the stiffest permittivity everywhere
@@ -244,8 +295,10 @@ def test_numeric_impedance_sees_normal_wavevector_dependence():
 
 
 def test_numeric_impedance_reports_an_unreachable_tolerance():
-    # 1e-17 lies below what QUADPACK can certify; the error carries the
-    # estimate, which is still as good as double precision allows
+    # 1e-17 lies below what double precision certifies here: the z_te row
+    # stops at _MAX_PANELS panels still missing it (z_tm's meets it); the
+    # error carries the estimate, which is still as good as double
+    # precision allows
     def eps_of_k(xi, k_hat, kz):
         return eval_imag_axis(GOLD, xi, k_hat)
 
@@ -275,6 +328,13 @@ def test_numeric_impedance_domain_validation():
     for bad in (math.nan, math.inf, -1.0, np.array([0.0, math.nan])):
         with pytest.raises(DomainError):
             impedance_closed(EpsPair(2.0, 2.0), 1.0, bad)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="k_hat must be finite and >= 0"):
+            impedance_numeric(eps_of_k, 1.0, bad)
+    # a NaN estimate reaches no tolerance
+    with pytest.raises(ConvergenceError):
+        impedance_numeric(lambda xi, k_hat, kz: EpsPair(math.nan, math.nan),
+                          1.0, 1.0)
 
 
 def test_static_limits_of_the_local_models():
