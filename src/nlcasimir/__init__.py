@@ -11,17 +11,15 @@ in :mod:`nlcasimir.reflection`, the pressure engine in
 from .constants import CONSTANTS, matsubara_xi, pressure_to_pascal
 from .errors import (ConvergenceError, DomainError, ParseError,
                      UnsupportedOperationError)
-from .kramers_kronig import (RELATIONS, KKReport, PVSettings, pv_integral,
-                             verify_kk)
+from .kramers_kronig import RELATIONS, KKReport, verify_kk
 from .lifshitz import (PressureQuery, PressureResult, casimir_pressure,
-                       casimir_pressures, classical_limit_pressure,
-                       ideal_metal_pressure_zero_t)
+                       casimir_pressures, ideal_metal_pressure_zero_t)
 from .optical_data import (CoreTable, InterbandImEps, OpticalTable,
-                           build_core_table, core_imag_axis, drude_im_eps,
-                           interband_im_eps, parse_optical_table)
+                           build_core_table, drude_im_eps, interband_im_eps,
+                           parse_optical_table)
 from .reflection import (ImpedancePair, ReflectanceDeviation, ReflectionPair,
-                         coeffs_from_impedance, fresnel, impedance_closed,
-                         impedance_numeric, nonlocal_coeffs, real_axis_coeffs,
+                         fresnel, impedance_closed, impedance_numeric,
+                         nonlocal_coeffs, real_axis_coeffs,
                          reflectance_deviation, reflection_pair, zero_freq_limit)
 from .response import (Drude, DrudeParams, EpsPair, NonlocalAlt,
                        NonlocalParams, PerfectReflector, Plasma, ResponseModel,
@@ -34,14 +32,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CONSTANTS", "matsubara_xi", "pressure_to_pascal",
     "ConvergenceError", "DomainError", "ParseError", "UnsupportedOperationError",
-    "RELATIONS", "KKReport", "PVSettings", "pv_integral", "verify_kk",
+    "RELATIONS", "KKReport", "verify_kk",
     "PressureQuery", "PressureResult", "casimir_pressure",
-    "casimir_pressures", "classical_limit_pressure",
-    "ideal_metal_pressure_zero_t",
+    "casimir_pressures", "ideal_metal_pressure_zero_t",
     "CoreTable", "InterbandImEps", "OpticalTable", "build_core_table",
-    "core_imag_axis", "drude_im_eps", "interband_im_eps", "parse_optical_table",
+    "drude_im_eps", "interband_im_eps", "parse_optical_table",
     "ImpedancePair", "ReflectanceDeviation", "ReflectionPair",
-    "coeffs_from_impedance", "fresnel", "impedance_closed", "impedance_numeric",
+    "fresnel", "impedance_closed", "impedance_numeric",
     "nonlocal_coeffs", "real_axis_coeffs", "reflectance_deviation",
     "reflection_pair", "zero_freq_limit",
     "Drude", "DrudeParams", "EpsPair", "NonlocalAlt", "NonlocalParams",

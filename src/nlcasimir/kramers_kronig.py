@@ -32,7 +32,8 @@ subtracted, leaving the integrand finite at x = w:
     PV int_0^K g(x) / (x^2 - w^2) dx = int_0^K [g(x) - g(w)] / (x^2 - w^2) dx
                                        + g(w) ln((K - w) / (K + w)) / (2w)
 
-The tail beyond K is K f(K), as in pv_integral, the slow reference.
+The tail beyond K is K f(K), as in the tests' slow QUADPACK reference
+(tests/reference_paths.py).
 
 All integrals are folded onto (0, cutoff) using the Hermitian symmetry
 eps(-x) = conj(eps(x)) that the underlying models obey, so the kernels
@@ -47,42 +48,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import integrate, quad
+from .quadrature import integrate
 from .response import (FOUR_PI, NonlocalAlt, NonlocalParams, eval_imag_axis,
                        eval_real_axis, pole_weight,
                        static_transverse_conductivity)
 
-_WINDOW_NODES, _WINDOW_WEIGHTS = np.polynomial.legendre.leggauss(31)
-
-
-@dataclass(frozen=True)
-class PVSettings:
-    """Controls for principal-value quadrature.
-
-    window is the half-width of the symmetric excision around the pole,
-    cutoff replaces the infinite limits, tol is the relative tolerance
-    handed to the adaptive pieces.
-    """
-
-    window: float = 1e-3       # eV
-    cutoff: float = 1e4        # eV, far above any model scale
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        # written so that NaN and inf fail too
-        if not 0.0 < self.window < math.inf:
-            raise DomainError(
-                f"window must be finite and positive, got {self.window}")
-        if not self.window < self.cutoff < math.inf:
-            raise DomainError("cutoff must be finite and exceed the "
-                              "excision window")
-        if not 0.0 < self.tol <= 1e-2:
-            raise DomainError(f"tol must lie in (0, 1e-2], got {self.tol}")
+# patched by name in perfbench/tracing.py until its kk counters read
+# verify_kk (ROADMAP 1); the QUADPACK reference lives in tests/
+pv_integral = quad = None
 
 
 @dataclass
@@ -97,74 +75,6 @@ class KKReport:
     note: str = ""
 
 
-# model structure lives at the eV scale but the cutoff sits decades above;
-# pinning powers of ten stops QUADPACK extrapolating across the whole span
-_DECADE_LADDER = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
-
-
-def _quad_piece(f, lo, hi, tol, hints):
-    pts = sorted(p for p in {*hints, *_DECADE_LADDER} if lo < p < hi)
-    result = quad(f, lo, hi, points=pts or None, limit=200,
-                  epsabs=1e-12, epsrel=tol, full_output=1)
-    value, abserr = result[0], result[1]
-    if not math.isfinite(value):
-        raise ConvergenceError("quadrature piece diverged",
-                               last_estimate=value)
-    if abserr > 50.0 * max(tol * abs(value), tol):
-        raise ConvergenceError(
-            f"quadrature piece stalled: error {abserr:.3e} on value {value:.3e}",
-            last_estimate=value)
-    return value
-
-
-def pv_integral(f: Callable[[float], float], pole: Optional[float] = None, *,
-                settings: Optional[PVSettings] = None,
-                lo: Optional[float] = None, hi: Optional[float] = None,
-                points: Sequence[float] = ()) -> float:
-    """Integrate f, excising a simple pole symmetrically if one is given.
-
-    Bounds default to (-cutoff, +cutoff).  A side left at its default is
-    treated as truncated infinity and gets the tail estimate K*f(+-K),
-    exact for kernels that decay like 1/x^2 and O(1/K^3) otherwise; this
-    is what makes doubling the cutoff a no-op within tol.  Explicit
-    bounds are respected as hard edges with no tail.
-
-    Around a pole the window (pole-w, pole+w) is integrated as the even
-    pairing f(pole+t) + f(pole-t) on (0, w): the divergent odd part of f
-    cancels analytically and only the smooth even remainder is sampled.
-    """
-    s = settings if settings is not None else PVSettings()
-    lo_eff = -s.cutoff if lo is None else float(lo)
-    hi_eff = s.cutoff if hi is None else float(hi)
-    if not lo_eff < hi_eff:
-        raise DomainError("empty integration range")
-
-    total = 0.0
-    if pole is None:
-        total += _quad_piece(f, lo_eff, hi_eff, s.tol, points)
-    else:
-        w = s.window
-        if not (lo_eff < pole - w and pole + w < hi_eff):
-            raise DomainError(
-                "pole window must lie strictly inside the integration range")
-        # geometric breakpoints around the excision edge keep QUADPACK's
-        # extrapolation from stalling on the 1/(x - pole) boundary layer
-        anchors = tuple(pole + sgn * w * m
-                        for sgn in (-1.0, 1.0) for m in (10.0, 100.0, 1000.0))
-        total += _quad_piece(f, lo_eff, pole - w, s.tol, (*points, *anchors))
-        total += _quad_piece(f, pole + w, hi_eff, s.tol, (*points, *anchors))
-        half = 0.5 * w
-        t = half * (_WINDOW_NODES + 1.0)
-        window_vals = [f(pole + ti) + f(pole - ti) for ti in t]
-        total += half * float(np.dot(_WINDOW_WEIGHTS, window_vals))
-
-    if lo is None:
-        total += s.cutoff * f(-s.cutoff)
-    if hi is None:
-        total += s.cutoff * f(s.cutoff)
-    return total
-
-
 def _resolve_grid(grid, label):
     if grid is None:
         return _DEFAULT_GRID
@@ -177,7 +87,7 @@ def _resolve_grid(grid, label):
 
 
 _EPS_L, _EPS_T = 0, 1          # EpsPair fields
-_CUTOFF = PVSettings().cutoff  # eV; the tail estimate K f(K) covers the rest
+_CUTOFF = 1e4                  # eV; the tail estimate K f(K) covers the rest
 # [0, 1e-3] eV, then two log panels per decade up to the cutoff
 _EDGES = np.concatenate([[0.0], np.geomspace(1e-3, _CUTOFF, 15)])
 # |K21 - G10| is G10's error, far above K21's; much below 1e-6 it meets the

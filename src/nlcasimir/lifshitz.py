@@ -79,7 +79,6 @@ from .quadrature import _NODES, _WEIGHTS, integrate
 from .response import ResponseModel
 from .reflection import reflection_pair, zero_freq_limit
 
-APERY = 1.2020569031595943      # zeta(3)
 SPAN = 50.0                     # width of each term's y-integration window
 
 # panel edges in u; finer near the integrand peak
@@ -421,24 +420,6 @@ def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
 def casimir_pressure(query: PressureQuery) -> PressureResult:
     """The pressure of one query: casimir_pressures of a one-query list."""
     return casimir_pressures([query])[0]
-
-
-def classical_limit_pressure(a_um, temperature, te_zero_weight=0.0):
-    """Large-separation limit where only the l = 0 term survives.
-
-    -zeta(3) k_B T (1 + w) / (8 pi a^3) in Pa; w is the weight of the TE
-    zero-frequency amplitude squared (0 for the dissipative local model,
-    approaching 1 for the plasma model as k_hat -> 0).
-    """
-    # written so that NaN and inf fail too
-    if not (0.0 < a_um < math.inf and 0.0 < temperature < math.inf):
-        raise DomainError("separation and temperature must be finite and "
-                          "positive")
-    if not 0.0 <= te_zero_weight <= 1.0:
-        raise DomainError(f"te_zero_weight must lie in [0, 1], got {te_zero_weight}")
-    p = -APERY * CONSTANTS.boltzmann * temperature * (1.0 + te_zero_weight) \
-        / (8.0 * math.pi * a_um**3)
-    return pressure_to_pascal(p)
 
 
 def ideal_metal_pressure_zero_t(a_um):

@@ -114,15 +114,6 @@ def interband_im_eps(table: OpticalTable, drude: DrudeParams) -> InterbandImEps:
     return InterbandImEps(table.energy, np.maximum(residual, 0.0))
 
 
-def core_imag_axis(ib: InterbandImEps, xi: float) -> float:
-    """Interband core at imaginary frequency i*xi, trapezoid on the grid."""
-    if xi <= 0.0:
-        raise DomainError(f"xi must be positive, got {xi}")
-    x = ib.energy
-    integrand = x * ib.im_eps / (x * x + xi * xi)
-    return 1.0 + (2.0 / math.pi) * float(np.trapezoid(integrand, x))
-
-
 @dataclass(frozen=True)
 class CoreTable:
     """The interband core as Lorentz lines: energies x_j in eV, finite and
@@ -156,10 +147,10 @@ class CoreTable:
 
 
 def build_core_table(ib: InterbandImEps, xi_grid=None) -> CoreTable:
-    """The Lorentz lines of core_imag_axis's trapezoid sum on ib's rows;
-    lines of zero strength add nothing and are left out.  xi_grid is not
-    read: it remains for callers that still pass the grid of the former
-    tabulated core."""
+    """The Lorentz lines of the trapezoid core (module docstring) on ib's
+    rows; lines of zero strength add nothing and are left out.  xi_grid is
+    not read: it remains for callers that still pass the grid of the
+    former tabulated core."""
     x = ib.energy
     ends = np.pad(x, 1, mode="edge")
     strength = (2.0 / math.pi) * (0.5 * (ends[2:] - ends[:-2])) * x * ib.im_eps

@@ -6,10 +6,6 @@ _PASS panels: K21 is the value, |K21 - G10| the error estimate.  In a row
 that misses its tolerance, each panel whose error exceeds its width's
 share of it is bisected, all rows at once in another pass, until the row
 meets it or has _MAX_PANELS panels.
-
-quad is scipy's QUADPACK integrator, which only the reference path
-pv_integral calls; it imports scipy on its first call, because
-scipy.integrate takes most of the package's import time.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324):
     integral rows.  edges holds ascending panel edges, one row per
     integral; a repeated edge makes an empty panel, which is dropped.  A
     row converges at error <= max(rel_tol |I|, abs_tol) and is refined
-    while it misses."""
+    while it misses; a row whose error is NaN misses and is not refined."""
     n, m = edges.shape
     span = edges[:, -1] - edges[:, 0]
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
@@ -66,8 +62,9 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324):
         total = np.bincount(rows, val, n)
         error = np.bincount(rows, err, n)
         tol = np.maximum(rel_tol * np.abs(total), abs_tol)
-        missing = error > tol
-        refine = missing & (np.bincount(rows, minlength=n) < _MAX_PANELS)
+        # no panel of a NaN row could pass the split test below
+        missing = ~(error <= tol)
+        refine = (error > tol) & (np.bincount(rows, minlength=n) < _MAX_PANELS)
         if not refine.any():
             return total, error, ~missing
         # a panel misses when its error exceeds its width's share of tol
@@ -77,9 +74,3 @@ def integrate(f, edges, rel_tol, abs_tol=5e-324):
                np.column_stack([lo[split], mid]).ravel(),
                np.column_stack([mid, hi[split]]).ravel())
         kept = tuple(x[~split] for x in (rows, lo, hi, val, err))
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad(*args, **kwargs), importing scipy on first use."""
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)

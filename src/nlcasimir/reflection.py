@@ -1,20 +1,22 @@
 """Reflection amplitudes for all response models.
 
-Four routes to the same physics live here:
+Three routes to the reflection amplitudes live here:
 
 * Fresnel amplitudes for local (k-independent) permittivities,
 * the closed-form amplitudes for transverse/longitudinal pairs,
-* surface impedances, both in closed form (valid when the permittivities
-  do not depend on the normal wavevector component) and as the defining
-  k_z integrals evaluated numerically,
 * one analytic zero-frequency limit for every model, for the l = 0 term,
   where naive permittivity evaluation is a 0/0 mess.
+
+Beside them sit the surface impedances, both in closed form (valid when
+the permittivities do not depend on the normal wavevector component) and
+as the defining k_z integrals evaluated numerically.
 
 On the imaginary axis all quantities are real; on the real axis they are
 complex and the square-root branch is fixed by demanding a transmitted
 wave that decays into the metal (Im root >= 0).
 
-Everything accepts numpy arrays in the k_hat slot and broadcasts.
+Everything accepts numpy arrays in the k_hat slot and broadcasts, except
+impedance_numeric, which takes one point.
 """
 
 from __future__ import annotations
@@ -104,18 +106,6 @@ def impedance_closed(eps: EpsPair, xi, k_hat):
     return ImpedancePair(z_tm, z_te)
 
 
-def coeffs_from_impedance(z: ImpedancePair, xi, k_hat):
-    """Reflection amplitudes from surface impedances.
-
-    The TE denominator uses z_te, as symmetry with the TM line and the
-    local limit both require.
-    """
-    q = q_hat(xi, k_hat)
-    r_tm = (q - xi * z.z_tm) / (q + xi * z.z_tm)
-    r_te = (q * z.z_te - xi) / (q * z.z_te + xi)
-    return ReflectionPair(r_tm, r_te)
-
-
 def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
     """Surface impedances from their defining k_z integrals.
 
@@ -130,11 +120,14 @@ def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
     Both impedances are rows of one G10/K21 block (nlcasimir.quadrature),
     each on 4 equal panels at relative tolerance tol/4.
 
-    Raises DomainError unless xi is finite and > 0, k_hat finite and >= 0
-    and tol finite and > 0, and ConvergenceError carrying the estimate
-    unless the error estimate of each integral is at most tol times its
-    value.
+    Raises DomainError unless xi is a finite scalar > 0, k_hat a finite
+    scalar >= 0 and tol finite and > 0, and ConvergenceError carrying the
+    estimate unless the error estimate of each integral is at most tol
+    times its value.
     """
+    if np.ndim(xi) or np.ndim(k_hat):
+        raise DomainError("impedance_numeric takes one point: xi and k_hat "
+                          "must be scalars")
     if not 0.0 < xi < math.inf:                     # NaN fails too
         raise DomainError("impedance_numeric needs a finite xi > 0")
     if not 0.0 < tol < math.inf:

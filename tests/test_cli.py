@@ -1,5 +1,6 @@
 """Command-line behavior: emitted data streams and exit codes."""
 
+import ast
 import importlib.util
 import json
 import math
@@ -123,6 +124,22 @@ def test_every_command_runs_without_scipy(capsys, tmp_path):
     want = [list(run_cli(capsys, argv)[:2]) for argv in commands]
     assert report["results"] == want
     assert [code for code, _ in want] == [0, 0, 0, 0, 0, 1]
+
+
+def test_the_package_imports_no_scipy_and_exports_no_reference_path():
+    # the QUADPACK and closed-form references live in tests/reference_paths.py
+    for path in sorted(Path(nlcasimir.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path
+    moved = {"PVSettings", "pv_integral", "quad", "classical_limit_pressure",
+             "APERY", "coeffs_from_impedance", "core_imag_axis"}
+    assert not moved & set(nlcasimir.__all__)
 
 
 def test_gradient_warns_on_every_run_in_one_process(capsys):
@@ -420,8 +437,10 @@ def test_pass_cost_times_each_side_in_a_copy(tmp_path, monkeypatch, capsys):
 
 
 def test_perfbench_tracer_changes_no_output_byte(capsys):
-    # perfbench/tracing.py patches names in nlcasimir.cli by name; if one
-    # is gone, installing the tracer raises AttributeError
+    # perfbench/tracing.py patches names by name in nlcasimir.cli and in
+    # nlcasimir.kramers_kronig, whose pv_integral and quad are None
+    # placeholders (the QUADPACK reference is tests/reference_paths.py);
+    # if one name is gone, installing the tracer raises AttributeError
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", SCRIPTS.parent / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)

@@ -7,9 +7,10 @@ import pytest
 
 import nlcasimir.kramers_kronig as kk
 from nlcasimir import (RELATIONS, DomainError, Drude, DrudeParams,
-                       NonlocalAlt, NonlocalParams, Plasma, PVSettings,
-                       eval_imag_axis, eval_real_axis, gold_default,
-                       pv_integral, verify_kk)
+                       NonlocalAlt, NonlocalParams, Plasma, eval_imag_axis,
+                       eval_real_axis, gold_default, verify_kk)
+
+from reference_paths import PVSettings, pv_integral
 
 GOLD = gold_default().params
 LOSSLESS = NonlocalParams(drude=DrudeParams(omega_p=9.0, gamma=0.0),

@@ -12,8 +12,7 @@ from nlcasimir import (CONSTANTS, ConvergenceError, CoreTable, DomainError,
                        Drude, DrudeParams, NonlocalAlt, NonlocalParams,
                        PerfectReflector, Plasma, PressureQuery, ReflectionPair,
                        WithCore, build_core_table, casimir_pressure,
-                       casimir_pressures, classical_limit_pressure,
-                       gold_default,
+                       casimir_pressures, gold_default,
                        ideal_metal_pressure_zero_t, interband_im_eps,
                        matsubara_xi, parse_optical_table, pressure_to_pascal,
                        reflection_pair, zero_freq_limit)
@@ -21,6 +20,7 @@ from nlcasimir import lifshitz, quadrature
 from nlcasimir.lifshitz import _BLOCK, _integrate
 
 from conftest import OPTICAL_TEXT
+from reference_paths import classical_limit_pressure
 
 GOLD = gold_default()
 DRUDE = Drude(GOLD.params.drude)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlcasimir import (CoreTable, DomainError, DrudeParams, InterbandImEps,
-                       ParseError, build_core_table, core_imag_axis,
-                       drude_im_eps, interband_im_eps, parse_optical_table)
+                       ParseError, build_core_table, drude_im_eps,
+                       interband_im_eps, parse_optical_table)
 
 from conftest import OPTICAL_TEXT
+from reference_paths import core_imag_axis
 
 GOLD_DRUDE = DrudeParams(9.0, 0.035)
 HAND_IB = InterbandImEps(np.array([1.0, 2.0, 4.0]), np.array([0.5, 3.0, 1.0]))

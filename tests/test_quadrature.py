@@ -46,3 +46,21 @@ def test_a_row_has_the_same_bits_in_any_batch_and_at_any_address():
                 rows = np.arange(start, min(start + size, 35))
                 for got, want in zip(block(rows, shift), whole):
                     assert np.array_equal(got, want[rows])
+
+
+def test_a_nan_row_misses_and_leaves_the_other_rows_alone():
+    # NaN fails error > tol as well as error <= tol: rows 0 and 1 turn NaN
+    # for x > 0.5 and must be reported unconverged, without a refinement
+    # loop, while row 2 (sqrt x, refined at 1e-12) keeps its own bits
+    def block(which):
+        def f(panels, x):
+            rows = which[panels][:, None]
+            return np.where((rows < 2) & (x > 0.5), np.nan, np.sqrt(x))
+
+        return integrate(f, np.tile([0.0, 1.0], (len(which), 1)), 1e-12)
+
+    total, error, converged = block(np.arange(3))
+    assert np.isnan(total[:2]).all() and np.isnan(error[:2]).all()
+    assert converged.tolist() == [False, False, True]
+    for got, want in zip((total, error, converged), block(np.array([2]))):
+        assert got[2] == want[0]

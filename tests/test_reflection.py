@@ -15,13 +15,14 @@ from scipy.integrate import quad
 from nlcasimir import (ConvergenceError, CoreTable, DomainError, Drude,
                        DrudeParams, EpsPair, NonlocalAlt, NonlocalParams,
                        PerfectReflector, Plasma,
-                       WithCore, coeffs_from_impedance, eval_imag_axis,
+                       WithCore, eval_imag_axis,
                        eval_real_axis, fresnel, gold_default, impedance_closed,
                        impedance_numeric, nonlocal_coeffs, real_axis_coeffs,
                        reflectance_deviation, reflection_pair, zero_freq_limit)
 from nlcasimir.reflection import q_hat
 
 from conftest import run_python
+from reference_paths import coeffs_from_impedance
 
 XI = 0.162433
 GOLD = gold_default()
@@ -331,6 +332,14 @@ def test_numeric_impedance_domain_validation():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(DomainError, match="k_hat must be finite and >= 0"):
             impedance_numeric(eps_of_k, 1.0, bad)
+    # one point only, refused before the first call of eps_of_k
+    def never(xi, k_hat, kz):
+        raise AssertionError("eps_of_k called")
+
+    for xi, k_hat in ((1.0, np.array([0.5, 1.0])), (np.array([1.0, 2.0]), 1.0),
+                      (1.0, np.array([[0.5]]))):
+        with pytest.raises(DomainError, match="takes one point"):
+            impedance_numeric(never, xi, k_hat)
     # a NaN estimate reaches no tolerance
     with pytest.raises(ConvergenceError):
         impedance_numeric(lambda xi, k_hat, kz: EpsPair(math.nan, math.nan),
