@@ -37,9 +37,8 @@ pick one of two paths, and the prediction sizes the blocks:
   stalled at _MAX_PANELS, and raises ConvergenceError if the sum reads
   it; rows past the term that stops the sum are never read.  The
   dropped tail is bounded by the envelope (_matsubara_tail).
-- Euler-Maclaurin (longer sums: thousands of terms at 1 K).  Where dy is
-  small, f is smooth on the scale of dy above y ~ _Y0.  The terms
-  l < l0 = ceil(_Y0/dy) are summed directly, and with y0 = l0 dy
+- Euler-Maclaurin (longer sums: thousands of terms at 1 K).  The terms
+  l < l0 = _HEAD = 32 are summed directly, and with y0 = l0 dy
 
       sum_{l >= l0} f(l dy) = (1/dy) int_{y0}^{y0 + _TAIL_SPAN} f(y) dy
                               + f(y0)/2 + sum_{k=1}^{6} G_k Delta^k f(y0),
@@ -48,20 +47,21 @@ pick one of two paths, and the prediction sizes the blocks:
   (Bordag, Klimchitskaya, Mohideen and Mostepanenko, Advances in the
   Casimir Effect, OUP 2009).  Delta is the forward difference of step dy,
   taken from the eight terms l0..l0+7, and G_k are the Gregory
-  coefficients.  f(y) at a continuous y is the term integral at
-  xi = c1 y.  The y-integral is G10/K21 on _TAIL_PANELS = 5 geometric
-  panels; e^{-45} ~ 3e-20 puts its cut below double precision.
-  The error budget adds the |K21 - G10| of the summed terms, those of the
-  eight difference terms times their Gregory weights, the y-integral's
-  |K21 - G10| plus the most its nodes' own errors can add, over dy, and
-  2 |G_6| |Delta^7 f(y0)| for the Gregory remainder sum_{k>=7} G_k
-  Delta^k f(y0), which holds where each difference is at most about half
-  the one before.  That remainder is up to about 0.4 dy^7 of the sum
-  (Drude, plasma and nonlocal gold at a = 0.02-30 um), the direct sum's
-  own truncation about 0.6 term_tol/dy, so this path is taken only where
-  dy^8 <= term_tol: it is then no less accurate than the direct sum, and
-  dy stays below 0.057.  Against direct sums the true error was at most
-  0.72 of the estimate up to dy = 0.0625, and 1.13 at dy = 0.07.
+  coefficients.  f(y) at a continuous y is the term integral at xi = c1 y.
+  A feature of f on a scale s >= y0 enters Delta^7 f as about
+  (dy/s)^7 <= 32^-7, at any T.  The y-integral is G10/K21 on panels that
+  grow by e (_tail_edges); e^{-45} ~ 3e-20 puts its cut below double
+  precision.  The error budget adds the |K21 - G10| of the summed terms,
+  those of the eight difference terms times their Gregory weights, the
+  y-integral's |K21 - G10| plus the most its nodes' own errors can add,
+  over dy, and 2 |G_6| |Delta^7 f(y0)| for the Gregory remainder
+  sum_{k>=7} G_k Delta^k f(y0), which holds where each difference is at
+  most about half the one before.  With a head that ended at y = 0.5 that
+  remainder reached 0.4 dy^7 of the sum, the direct sum's own truncation
+  is about 0.6 term_tol/dy, so this path is taken only where dy^8 <=
+  term_tol, and dy stays below 0.057.  Against direct sums (Drude, plasma
+  and nonlocal gold, a = 0.02-30 um) the true error was at most 1.6e-11
+  of the pressure and 0.06 of the estimate up to dy = 0.07.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ _U_EDGES = np.sqrt((0.0, 2.0, 12.0, SPAN))
 _BLOCK = 106                    # most term rows in one block of a sum
 
 _DIRECT_MAX = 400               # longest predicted sum that is summed directly
-_Y0 = 0.5                       # y above which long sums are integrated
+_HEAD = 32                      # terms a long sum adds before its tail
 _TAIL_SPAN = 45.0               # width in y of the tail integral
-_TAIL_PANELS = 5                # its geometric y-panels
+_TAIL_EDGES = np.exp(np.arange(238.0))  # its y-panel edges, over y0
 # Gregory coefficients G_1..G_6 of Delta^1..Delta^6 f(y0)
 _GREGORY = (-1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480, 275 / 24192)
 # row k: Delta^k f(y0) as weights on the eight terms f(y0), ..., f(y0 + 7 dy)
@@ -139,8 +139,8 @@ class PressureResult:
 
     per_term holds Pa contributions in ascending l: on the direct path one
     per term (l = 0 with its weight 1/2), so len(per_term) == terms_used;
-    on the Euler-Maclaurin path the directly summed terms l < l0 followed
-    by one entry for the integrated tail l >= l0.  Either way they sum to
+    on the Euler-Maclaurin path the directly summed terms l < 32 followed
+    by one entry for the integrated tail l >= 32.  Either way they sum to
     the pressure.
     """
 
@@ -186,10 +186,10 @@ def _integrate(model, quad_tol, c1, xi, y_lo):
 
 
 def _tail_edges(y0):
-    """The edges of the _TAIL_PANELS geometric y-panels of the tail integral
-    int_{y0}^{y0 + _TAIL_SPAN} f(y) dy."""
-    return y0 * ((y0 + _TAIL_SPAN) / y0) ** (
-        np.arange(_TAIL_PANELS + 1) / _TAIL_PANELS)
+    """The y-panel edges y0 e^k of the tail integral int_{y0}^{y0 +
+    _TAIL_SPAN} f(y) dy, clipped at its end (k = 237 passes it from the
+    smallest y0 = _HEAD dy); integrate drops the repeated edges' panels."""
+    return np.minimum(y0 * _TAIL_EDGES, y0 + _TAIL_SPAN)
 
 
 def _tail_rows(model, quad_tol, requests):
@@ -247,6 +247,8 @@ def _direct_length(dy, term_tol):
     1/2 + sum_{j>=1} g(j dy) at y_stop, the fixed point of y = ln(P(y) /
     (2 term_tol S))."""
     total = 0.5 + 0.5 * _envelope_sum(0.0, dy)
+    if term_tol * total >= 1.0:     # y = 0 is then the fixed point
+        return math.inf
     log_floor = -math.log(term_tol * total)
     y = 0.0
     for _ in range(8):      # rises to the fixed point; the map contracts
@@ -277,8 +279,8 @@ class _Sum:
         # remainder below the direct truncation
         predicted = _direct_length(dy, query.term_tol)
         if predicted > _DIRECT_MAX and dy**8 <= query.term_tol:
-            self.l0 = math.ceil(_Y0 / dy)
-            self.rows = self.l0 + 7
+            self.l0 = _HEAD
+            self.rows = _HEAD + 7
         else:
             self.l0 = None
             self.rows = math.ceil(predicted) + 1

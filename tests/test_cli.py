@@ -572,6 +572,20 @@ def test_pressure_single_model(capsys):
     assert math.isclose(rows[0][1], want, rel_tol=1e-8)
 
 
+def test_a_pressure_with_dy_below_term_tol_exits_0(capsys):
+    # dy = 5.5e-11 at 0.01 um and 1e-6 K: no direct sum stops before about
+    # 1/term_tol terms, so the sum is integrated
+    code, out, err = run_cli(capsys, [
+        "pressure", "--models", "drude", "--points", "1", "--a-min", "0.01",
+        "--a-max", "0.01", "--temp", "1e-6"])
+    assert code == 0 and err == ""
+    _, header, rows = parse_csv(out)
+    assert header == ["a_um", "P_drude_Pa"]
+    want = casimir_pressure(PressureQuery(
+        0.01, 1e-6, Drude(gold_default().params.drude))).pressure
+    assert math.isclose(rows[0][1], want, rel_tol=1e-8)
+
+
 def test_pressure_with_optical_data(capsys, tmp_path, optical_text):
     path = tmp_path / "nk.dat"
     path.write_text(optical_text)

@@ -296,11 +296,16 @@ def test_each_term_matches_a_quadpack_reference(model, temperature):
             assert got == pytest.approx(want, rel=query.quad_tol)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("a, temperature", [
+    # 1 K keeps the separation alone as its id
+    *(pytest.param(a, 1.0, id=str(a)) for a in (0.5, 1.0)),
+    pytest.param(1.0, 0.1, id="1.0-0.1K")])
 @pytest.mark.parametrize("model", [DRUDE, PLASMA, GOLD, CORED],
                          ids=["drude", "plasma", "nonlocal", "with-core"])
-def test_integrated_tail_matches_the_direct_sum(model, a, monkeypatch):
-    query = PressureQuery(a, 1.0, model, quad_tol=1e-12, term_tol=1e-15)
+def test_integrated_tail_matches_the_direct_sum(model, a, temperature,
+                                                monkeypatch):
+    query = PressureQuery(a, temperature, model, quad_tol=1e-12,
+                          term_tol=1e-15)
     integrated = casimir_pressure(query)
     monkeypatch.setattr("nlcasimir.lifshitz._DIRECT_MAX", math.inf)
     direct = casimir_pressure(query)
@@ -323,6 +328,53 @@ def test_tight_term_tol_costs_no_accuracy(a, temperature, term_tol,
     direct = casimir_pressure(query)
     assert abs(result.pressure - direct.pressure) <= min(
         1e-11 * abs(direct.pressure), result.quad_error_estimate)
+
+
+def test_the_work_of_a_long_sum_is_flat_in_temperature(monkeypatch):
+    # a long sum adds a fixed head of terms and integrates the rest, so a
+    # colder query evaluates about as many term rows as a 1 K one
+    rows = []
+
+    def counting(model, quad_tol, c1, xi, y_lo):
+        rows[-1] += len(y_lo)
+        return _integrate(model, quad_tol, c1, xi, y_lo)
+
+    monkeypatch.setattr(lifshitz, "_integrate", counting)
+    for temperature in (1.0, 0.01, 1e-3):
+        rows.append(0)
+        casimir_pressure(PressureQuery(1.0, temperature, DRUDE))
+    assert rows[-1] <= 3 * rows[0]
+
+
+def test_a_sum_no_prediction_can_stop_takes_the_euler_maclaurin_path():
+    # where term_tol times the envelope's sum S ~ 3/dy reaches 1 (dy = 5.5e-12
+    # at 1 um and 1e-9 K), no term falls below term_tol of the total; such a
+    # sum is predicted to be endless and integrated, not summed to about
+    # 1/term_tol terms
+    dy = 2.0 * matsubara_xi(1, 1e-9) / CONSTANTS.hbar_c
+    assert lifshitz._direct_length(dy, 1e-10) == math.inf
+    mirror = casimir_pressure(PressureQuery(1.0, 1e-9, PerfectReflector()))
+    assert math.isclose(mirror.pressure, ideal_metal_pressure_zero_t(1.0),
+                        rel_tol=1e-12)
+    with pytest.raises(DomainError, match="overflows"):
+        casimir_pressure(PressureQuery(1e-93, 1e30, PerfectReflector()))
+    # the nonlocal model stalls there on its first rows, as before
+    with pytest.raises(ConvergenceError) as err:
+        casimir_pressure(PressureQuery(1e-93, 1e30, GOLD))
+    assert err.value.last_estimate == 3.358697320464855e-33
+
+
+@pytest.mark.parametrize("model", [DRUDE, GOLD, PLASMA, PerfectReflector()],
+                         ids=["drude", "nonlocal", "plasma", "perfect"])
+def test_the_smallest_accepted_dy_keeps_the_whole_tail(model):
+    # at 1 um and 5.2e-101 K, dy^3 is just a normal double: the tail's
+    # panels, each e times as wide as the one before, still reach y0 + 45,
+    # and the pressure is the one at 1e-9 K
+    query = PressureQuery(1.0, 5.2e-101, model)
+    y0 = lifshitz._HEAD * 2.0 * matsubara_xi(1, 5.2e-101) / CONSTANTS.hbar_c
+    assert lifshitz._tail_edges(y0)[-1] == y0 + lifshitz._TAIL_SPAN
+    warm = casimir_pressure(PressureQuery(1.0, 1e-9, model)).pressure
+    assert math.isclose(casimir_pressure(query).pressure, warm, rel_tol=1e-12)
 
 
 def test_block_boundaries_change_no_bit(monkeypatch):
