@@ -6,12 +6,13 @@ Every command of MATRIX runs as `python -m nlcasimir` in a copy of each
 checkout, with the copy's src/ on PYTHONPATH.  The matrix covers every
 subcommand, kk-verify at nine wavevectors and on relation subsets in both
 orders, pressure sweeps at 1 K (the cold_local benchmark, and cored
-models) and 300 K, CSV, JSON and --out, and commands that exit 1 and 2.
-Each command whose exit code, stdout, stderr or --out file differs
-between the two is printed with the first line that differs; the script
-exits 1 if any does.  Each checkout is copied, without .git and caches,
-to a temporary directory (scripts/result_digest.py's copy_checkouts), so
-nothing is written into either one.  Standard library only.
+models), 20 K and 300 K, CSV, JSON and --out, and commands that exit 1
+and 2.  Each command whose exit code, stdout, stderr or --out file
+differs between the two is printed with the first line that differs; the
+script exits 1 if any does.  Each checkout is copied, without .git and
+caches, to a temporary directory (scripts/result_digest.py's
+copy_checkouts), so nothing is written into either one.  Standard
+library only.
 """
 
 import argparse
@@ -75,6 +76,10 @@ MATRIX = (
      "--a-max", "3", "--points", "30"],
     ["pressure", "--models", "drude,nonlocal,plasma", "--a-min", "0.02",
      "--a-max", "20", "--points", "60"],
+    # 20 K: Euler-Maclaurin sums below 0.51 um, direct sums predicted past
+    # one pass of rows (105 terms) up to 2.3 um, and shorter ones above
+    ["pressure", "--temp", "20", "--a-min", "0.05", "--a-max", "7",
+     "--points", "40"],
     # cored models at 1 K, on the Euler-Maclaurin path
     ["pressure", "--models", "drude,nonlocal", "--temp", "1",
      "--optical-data", OPTICAL, "--a-min", "0.5", "--a-max", "3",

@@ -4,8 +4,9 @@
 
 A pass is one call of the integrand that `lifshitz._integrate` hands to
 `nlcasimir.quadrature.integrate` (caught by patching
-`lifshitz.integrate`), on the 318 u-panels of terms l = 1..106 at a = 1
-um, T = 1 K: 6,678 nodes, the largest call `integrate` makes.  The
+`lifshitz.integrate`), on the `quadrature._PASS` u-panels of terms l =
+1.._PASS/3 at a = 1 um, T = 1 K, the largest call `integrate` makes
+(6,678 nodes at _PASS = 318); each checkout uses its own _PASS.  The
 models are the five of scripts/result_digest.py (Drude, plasma, nonlocal
 gold, and Drude and nonlocal with the interband core of
 tests/conftest.py's optical table) and the static (l = 0) rows of Drude
@@ -31,7 +32,6 @@ from result_digest import MODELS as TERM_MODELS
 from result_digest import SIDES, copy_checkouts, models_here, run_here
 
 MODELS = (*TERM_MODELS, "static-drude", "static-nonlocal")
-TERMS = 106                     # rows of one pass: 3 u-panels each
 REPEATS = 200                   # passes per model and interpreter
 ROUNDS = 5                      # interpreters per checkout
 
@@ -42,12 +42,13 @@ def pass_here():
     import numpy as np
     from nlcasimir import lifshitz
     from nlcasimir.constants import CONSTANTS, matsubara_xi
-    from nlcasimir.quadrature import _NODES
+    from nlcasimir.quadrature import _NODES, _PASS
 
     models = models_here()
+    terms = _PASS // 3              # rows of one pass: 3 u-panels each
     a_um, temperature = 1.0, 1.0
     c1 = CONSTANTS.hbar_c / (2.0 * a_um)
-    xi = np.array([matsubara_xi(l, temperature) for l in range(1, TERMS + 1)])
+    xi = np.array([matsubara_xi(l, temperature) for l in range(1, terms + 1)])
     y_lo = 2.0 * a_um * xi / CONSTANTS.hbar_c
 
     passes = {}
@@ -59,13 +60,13 @@ def pass_here():
         try:
             lifshitz._integrate(models[name.removeprefix("static-")], 1e-9,
                                 c1, None if static else xi,
-                                np.zeros(TERMS) if static else y_lo)
+                                np.zeros(terms) if static else y_lo)
         finally:
             lifshitz.integrate = original
         f, edges = caught[0]
         lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
         half = 0.5 * (hi - lo)
-        passes[name] = (f, np.repeat(np.arange(TERMS), edges.shape[1] - 1),
+        passes[name] = (f, np.repeat(np.arange(terms), edges.shape[1] - 1),
                         (lo + half)[:, None] + half[:, None] * _NODES)
     # the models take turns, so a busy spell of the machine hits them alike
     best = dict.fromkeys(passes, float("inf"))

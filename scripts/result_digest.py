@@ -54,7 +54,6 @@ def result_text(result):
 def models_here():
     """{name: model} of MODELS, from the nlcasimir on sys.path; the cored
     models take the core of tests/conftest.py's optical table."""
-    import numpy as np
     from nlcasimir import (Drude, Plasma, WithCore, build_core_table,
                            gold_default, interband_im_eps, parse_optical_table)
     sys.path.insert(0, "tests")
@@ -62,11 +61,8 @@ def models_here():
 
     gold = gold_default()
     drude = Drude(gold.params.drude)
-    # the grid is for checkouts whose build_core_table still samples the
-    # core on it; one that builds Lorentz lines does not read it
     core = build_core_table(
-        interband_im_eps(parse_optical_table(OPTICAL_TEXT), gold.params.drude),
-        np.geomspace(1e-3, 1e2, 121))
+        interband_im_eps(parse_optical_table(OPTICAL_TEXT), gold.params.drude))
     return dict(zip(MODELS, (drude, Plasma(gold.params.drude.omega_p), gold,
                              WithCore(drude, core), WithCore(gold, core))))
 

@@ -19,7 +19,7 @@ which every sum still open adds its next block of terms, and one call
 for the tail integrals of all long sums (below).  The rows of a round
 are one call of the G10/K21 quadrature of nlcasimir.quadrature, three
 u-panels per term at the start, which sends them through the reflection
-chain in 2-d passes of at most 318 panels (_BLOCK terms) and refines
+chain in 2-d passes of at most _PASS panels and refines
 rows that miss quad_tol; the tail integrals' nodes share such passes
 too.  A pass writes its temporaries in place, into arrays it made, in
 the operand order of the plain formulas, so with their bits.  No row's
@@ -56,12 +56,13 @@ pick one of two paths, and the prediction sizes the blocks:
   y-integral's |K21 - G10| plus the most its nodes' own errors can add,
   over dy, and 2 |G_6| |Delta^7 f(y0)| for the Gregory remainder
   sum_{k>=7} G_k Delta^k f(y0), which holds where each difference is at
-  most about half the one before.  With a head that ended at y = 0.5 that
-  remainder reached 0.4 dy^7 of the sum, the direct sum's own truncation
-  is about 0.6 term_tol/dy, so this path is taken only where dy^8 <=
-  term_tol, and dy stays below 0.057.  Against direct sums (Drude, plasma
-  and nonlocal gold, a = 0.02-30 um) the true error was at most 1.6e-11
-  of the pressure and 0.06 of the estimate up to dy = 0.07.
+  most about half the one before.  This path is taken only where dy^8 <=
+  term_tol: at 300 K, term_tol 1e-15, a = 0.012-0.043 um (dy to 0.07),
+  Drude's sum on it was 2.8e-12 to 8.2e-12 off a quad_tol 1e-13, term_tol
+  1e-17 sum, the direct one 1.2e-14 to 4.5e-14 (estimates 1.4e-10 to
+  2.8e-10).  Against direct sums (Drude, plasma and nonlocal gold, a =
+  0.02-30 um) the true error was at most 1.6e-11 of the pressure and 0.06
+  of the estimate up to dy = 0.07.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ SPAN = 50.0                     # width of each term's y-integration window
 
 # panel edges in u; finer near the integrand peak
 _U_EDGES = np.sqrt((0.0, 2.0, 12.0, SPAN))
-_BLOCK = 106                    # most term rows in one block of a sum
 
 _DIRECT_MAX = 400               # longest predicted sum that is summed directly
 _HEAD = 32                      # terms a long sum adds before its tail
@@ -275,8 +275,7 @@ class _Sum:
         self.prefactor = -CONSTANTS.boltzmann * temp / (8.0 * math.pi * a**3)
         # l0: first integrated term, or None on the direct path; rows: the
         # terms l = 1, 2, ... the sum is expected to evaluate (at 300, 77 and
-        # 5 K no direct sum used more); dy^8 <= term_tol keeps the Gregory
-        # remainder below the direct truncation
+        # 5 K no direct sum used more); dy^8 <= term_tol: module docstring
         predicted = _direct_length(dy, query.term_tol)
         if predicted > _DIRECT_MAX and dy**8 <= query.term_tol:
             self.l0 = _HEAD
@@ -292,7 +291,7 @@ class _Sum:
     def read(self, values, errors, ok, row):
         """Read the block's rows of a round's lists, from row on, in
         ascending l; True if the sum needs another block, which it sets:
-        up to _BLOCK rows to the expected last row, then 2, 4 .. _BLOCK."""
+        every row to the expected last row, then 2, 4, 8 .. more."""
         query, l0, terms, l_cap = self.query, self.l0, self.terms, self.l_cap
         acc, comp, quad_err = self.acc, self.comp, self.quad_err
         j = row - self.l - 1        # term l is row j + l
@@ -328,7 +327,7 @@ class _Sum:
         self.acc, self.comp, self.quad_err, self.l = acc, comp, quad_err, l
         if not done:
             rows = self.rows
-            self.end = min(rows if l < rows else 2 * l + 2 - rows, l + _BLOCK)
+            self.end = rows if l < rows else 2 * l + 2 - rows
         return not done
 
     def result(self, tail=None):

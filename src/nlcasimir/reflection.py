@@ -128,8 +128,6 @@ def impedance_numeric(eps_of_k, xi, k_hat, tol=1e-8):
     if np.ndim(xi) or np.ndim(k_hat):
         raise DomainError("impedance_numeric takes one point: xi and k_hat "
                           "must be scalars")
-    if not 0.0 < xi < math.inf:                     # NaN fails too
-        raise DomainError("impedance_numeric needs a finite xi > 0")
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
     check_point(xi, k_hat)

@@ -17,7 +17,7 @@ from nlcasimir import (CONSTANTS, ConvergenceError, CoreTable, DomainError,
                        matsubara_xi, parse_optical_table, pressure_to_pascal,
                        reflection_pair, zero_freq_limit)
 from nlcasimir import lifshitz, quadrature
-from nlcasimir.lifshitz import _BLOCK, _integrate
+from nlcasimir.lifshitz import _integrate
 
 from conftest import OPTICAL_TEXT
 from reference_paths import classical_limit_pressure
@@ -377,17 +377,6 @@ def test_the_smallest_accepted_dy_keeps_the_whole_tail(model):
     assert math.isclose(casimir_pressure(query).pressure, warm, rel_tol=1e-12)
 
 
-def test_block_boundaries_change_no_bit(monkeypatch):
-    # each row's quadrature is its own, so blocks of any size give the
-    # same terms; the sums size their blocks from a prediction
-    queries = [PressureQuery(a, t, m) for a, t in ((0.2, 300.0), (1.0, 300.0),
-                                                   (1.0, 1.0))
-               for m in (DRUDE, GOLD, CORED)]
-    sized = [casimir_pressure(q) for q in queries]
-    monkeypatch.setattr("nlcasimir.lifshitz._BLOCK", 5)
-    assert [casimir_pressure(q) for q in queries] == sized
-
-
 @pytest.mark.parametrize("a", [0.5, 1.0])
 @pytest.mark.parametrize("model", [DRUDE, GOLD], ids=["drude", "nonlocal"])
 def test_error_estimate_covers_the_cold_matsubara_tail(model, a):
@@ -579,8 +568,8 @@ def test_a_batch_that_mixes_paths_and_tolerances_has_the_bits_of_single_queries(
 
 def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
     # integrate forms the passes: no integrand call takes more nodes than
-    # _BLOCK terms of three u-panels of 21 nodes, however large the round
-    points = []
+    # _PASS panels of 21 nodes, however large the round
+    points, size = [], quadrature._PASS
 
     def recording(f, edges, *args, **kwargs):
         def counted(rows, x):
@@ -595,14 +584,14 @@ def test_no_quadrature_pass_exceeds_a_block(monkeypatch):
                                      (CORED, 1.0, [0.5, 1.0]),
                                      # more tails than one pass takes
                                      (DRUDE, 1.0,
-                                      np.linspace(0.5, 3.0, _BLOCK + 6))):
+                                      np.linspace(0.5, 3.0, size // 3 + 6))):
         casimir_pressures([PressureQuery(a, temperature, model)
                            for a in grid])
-    assert max(points) == _BLOCK * 63
+    assert max(points) == size * 21
 
 
 def test_a_round_shares_full_passes_at_every_level(monkeypatch):
-    # a round of more than _BLOCK terms is one integrate call: each level
+    # a round of more than one pass is one integrate call: each level
     # of refinement of its panels takes ceil(panels / _PASS) integrand
     # calls, all but the last full; the levels are those of one call per
     # level, which a _PASS above any level gives
@@ -634,10 +623,10 @@ def test_a_round_shares_full_passes_at_every_level(monkeypatch):
     integrate = lifshitz.integrate
     monkeypatch.setattr(lifshitz, "integrate", recording)
     casimir_pressures([PressureQuery(a, 1.0, DRUDE)
-                       for a in np.linspace(0.5, 3.0, _BLOCK + 6)])
-    # the first round holds more than _BLOCK terms, and refines in passes
-    # of more than one call
-    assert levels_seen[1][0] > 3 * _BLOCK
+                       for a in np.linspace(0.5, 3.0, size // 3 + 6)])
+    # the first round holds more than one pass of panels, and refines in
+    # passes of more than one call
+    assert levels_seen[1][0] > size
     assert any(panels > size for levels in levels_seen
                for panels in levels[1:])
 
@@ -668,6 +657,23 @@ def test_follow_up_blocks_give_the_bits_of_one_long_block(monkeypatch):
     casimir_pressure(PressureQuery(0.5, 300.0, DRUDE))
     # the static term, the expected rows 1 and 2, then 2, 4, 8 .. rows
     assert blocks[:5] == [1, 2, 2, 4, 8]
+
+
+def test_a_direct_sum_takes_its_whole_prediction_in_one_round(monkeypatch):
+    # Drude at 0.05 um and 300 K is predicted at 307.05 terms: the static
+    # term, then all 309 expected rows in one round, past one pass of panels
+    blocks = []
+
+    def recording(model, quad_tol, c1, xi, y_lo):
+        blocks.append(len(y_lo))
+        return _integrate(model, quad_tol, c1, xi, y_lo)
+
+    monkeypatch.setattr(lifshitz, "_integrate", recording)
+    result = casimir_pressure(PressureQuery(0.05, 300.0, DRUDE))
+    dy = 2.0 * 0.05 * matsubara_xi(1, 300.0) / CONSTANTS.hbar_c
+    assert math.ceil(lifshitz._direct_length(dy, 1e-10)) + 1 == 309
+    assert blocks == [1, 309]
+    assert result.terms_used == 215
 
 
 def test_a_sweep_integrates_its_tails_in_one_call(monkeypatch):
