@@ -6,8 +6,9 @@ Every command of MATRIX runs as `python -m nlcasimir` in a copy of each
 checkout, with the copy's src/ on PYTHONPATH.  The matrix covers every
 subcommand, kk-verify at nine wavevectors and on relation subsets in both
 orders, pressure sweeps at 1 K (the cold_local benchmark, and cored
-models), 20 K and 300 K, CSV, JSON and --out, and commands that exit 1
-and 2.  Each command whose exit code, stdout, stderr or --out file
+models), 20 K and 300 K, CSV, JSON and --out, data files with and
+without a header line, blank lines and comments, and commands that exit
+1 and 2.  Each command whose exit code, stdout, stderr or --out file
 differs between the two is printed with the first line that differs; the
 script exits 1 if any does.  Each checkout is copied, without .git and
 caches, to a temporary directory (scripts/result_digest.py's
@@ -26,11 +27,20 @@ from result_digest import SIDES, copy_checkouts
 
 FIELDS = ("exit code", "stdout", "stderr", "--out file")
 OUT, OPTICAL, EXPT = "matrix_out.txt", "matrix_optical.txt", "matrix_expt.csv"
+# the same rows with blank lines and comments; gradients without a header,
+# whitespace separated, and a copy with a negative sigma in row 2
+OPTICAL_NOTES = "matrix_optical_notes.txt"
+EXPT_PLAIN, EXPT_BAD = "matrix_expt.txt", "matrix_expt_bad.txt"
 # data files written into both copies before the matrix runs
 DATA = {
     OPTICAL: "0.5 1.20 9.00\n1.0 0.80 6.50\n2.0 0.90 3.90\n"
              "4.0 1.55 1.90\n6.0 1.30 1.40\n",
+    OPTICAL_NOTES: "# E n k\n0.5 1.20 9.00  # lowest row\n\n1.0 0.80 6.50\n"
+                   "2.0 0.90 3.90 # interband onset\n\n4.0 1.55 1.90\n"
+                   "6.0 1.30 1.40\n",
     EXPT: "a_um, Fprime, sigma\n0.80, 6.0e-6, 2.0e-7\n1.20, 2.0e-6, 1.0e-7\n",
+    EXPT_PLAIN: "0.80 6.0e-6 2.0e-7\n1.20 2.0e-6 1.0e-7\n",
+    EXPT_BAD: "0.80 6.0e-6 2.0e-7\n1.20 2.0e-6 -1.0e-7\n",
 }
 KPERPS = ("0", "0.05", "0.1", "0.2", "0.5", "1", "2", "5", "7.9")
 SUBSETS = ("t-imag-axis", "l-imag-from-real",
@@ -84,12 +94,16 @@ MATRIX = (
     ["pressure", "--models", "drude,nonlocal", "--temp", "1",
      "--optical-data", OPTICAL, "--a-min", "0.5", "--a-max", "3",
      "--points", "3"],
+    ["pressure", "--optical-data", OPTICAL_NOTES, "--a-min", "0.5",
+     "--a-max", "2", "--points", "3"],
     # Drude at gamma = 0 is plasma, the static term included
     ["pressure", "--models", "drude,plasma", "--gamma", "0", "--a-min", "1",
      "--a-max", "3", "--points", "3"],
     ["gradient", "--radius", "150", "--points", "3"],
     ["gradient", "--radius", "150", "--model", "drude", "--expt", EXPT,
      "--out", OUT],
+    ["gradient", "--radius", "150", "--expt", EXPT_PLAIN],
+    ["gradient", "--radius", "150", "--expt", EXPT_BAD],
     ["reflectance", "--theta", "30deg", "--points", "4"],
     ["reflectance", "--theta", "0.3", "--points", "3", "--format", "json"],
     ["reflectance", "--theta", "0.3", "--optical-data", OPTICAL],

@@ -283,6 +283,10 @@ class _Sum:
         else:
             self.l0 = None
             self.rows = math.ceil(predicted) + 1
+            if self.rows > self.l_cap:
+                raise DomainError(
+                    f"term_tol {query.term_tol} needs {self.rows} terms, more "
+                    f"than the {self.l_cap} a sum may take")
         self.ends = []      # (term, err) of l0..l0+7, Euler-Maclaurin path
         self.acc = self.comp = self.quad_err = 0.0  # comp: Kahan compensation
         self.terms = []
@@ -368,9 +372,9 @@ class _Sum:
 
 def casimir_pressures(queries: Sequence[PressureQuery]) -> List[PressureResult]:
     """The PressureResults of queries that share one model object and one
-    quad_tol, in input order, in the stages of the module docstring; the
-    error of the first failing query in input order is raised, differing
-    models or quad_tol raise DomainError."""
+    quad_tol, in input order, in the stages of the module docstring.  Before
+    any row, differing models or quad_tol and a direct sum predicted past
+    l_cap raise DomainError; after, the first failing query's error does."""
     queries = list(queries)
     if not queries:
         return []

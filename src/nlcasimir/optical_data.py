@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_rows
 from .response import Drude, DrudeParams, eval_real_axis
 
 
@@ -55,44 +55,22 @@ class InterbandImEps(NamedTuple):
 
 
 def parse_optical_table(lines) -> OpticalTable:
-    """Parse whitespace-separated "E n k" rows; '#' starts a comment.
-
-    Accepts any iterable of text lines (an open file does).  Row order is
-    checked, never repaired: out-of-order data mean a broken file.
-    """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    energies, ns, ks = [], [], []
-    last_e = None
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        cols = text.split()
-        if len(cols) != 3:
-            raise ParseError(f"expected 3 columns 'E n k', got {len(cols)}",
-                             line=lineno)
-        try:
-            e, n, k = (float(c) for c in cols)
-        except ValueError:
-            raise ParseError(f"non-numeric value in {text!r}", line=lineno)
-        if not all(map(math.isfinite, (e, n, k))):
-            raise ParseError(f"non-finite value in {text!r}", line=lineno)
+    """Parse "E n k" rows of a text or iterable of lines (an open file is
+    one) in the grammar of errors.read_rows: at least 2 rows, n, k >= 0 and
+    energies in eV, positive and strictly increasing (checked, not repaired)."""
+    rows = []
+    for lineno, (e, n, k) in read_rows(lines):
         if e <= 0.0:
             raise ParseError(f"energy must be positive, got {e}", line=lineno)
         if n < 0.0 or k < 0.0:
             raise ParseError("negative n or k", line=lineno)
-        if last_e is not None and e <= last_e:
-            raise ParseError(
-                f"energies must be strictly increasing ({e} after {last_e})",
-                line=lineno)
-        last_e = e
-        energies.append(e)
-        ns.append(n)
-        ks.append(k)
-    if len(energies) < 2:
-        raise ParseError(f"need at least 2 data rows, got {len(energies)}")
-    return OpticalTable(np.array(energies), np.array(ns), np.array(ks))
+        if rows and e <= rows[-1][0]:
+            raise ParseError(f"energies must be strictly increasing "
+                             f"({e} after {rows[-1][0]})", line=lineno)
+        rows.append((e, n, k))
+    if len(rows) < 2:
+        raise ParseError(f"need at least 2 data rows, got {len(rows)}")
+    return OpticalTable(*map(np.array, zip(*rows)))
 
 
 def drude_im_eps(drude: DrudeParams, omega):

@@ -18,7 +18,7 @@ from typing import Callable, Tuple, Union
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_rows
 
 BetaLike = Union[float, Callable[[float, float], float]]
 
@@ -68,38 +68,16 @@ def force_gradient(a_um: float, config: SpherePlateConfig,
 
 
 def parse_experiment_csv(text: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read measured gradient rows "a[um], Fprime[N/m], sigma[N/m]".
-
-    Comma or whitespace separated; '#' starts a comment; one non-numeric
-    header line is tolerated.  Returns (a_um, fprime, sigma) arrays.
-    """
+    """Read measured gradient rows "a[um], Fprime[N/m], sigma[N/m]" in the
+    grammar of errors.read_rows, with a > 0 and sigma >= 0.  Returns
+    (a_um, fprime, sigma) arrays."""
     rows = []
-    header_skipped = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            if not header_skipped and not rows:
-                header_skipped = True
-                continue
-            raise ParseError(f"non-numeric entry in {parts!r}", line=lineno)
-        if len(values) != 3:
-            raise ParseError(f"expected 3 columns, got {len(values)}",
+    for lineno, row in read_rows(text):
+        if row[0] <= 0.0:
+            raise ParseError(f"separation must be positive, got {row[0]}",
                              line=lineno)
-        if not all(map(math.isfinite, values)):
-            raise ParseError(f"non-finite entry in {parts!r}", line=lineno)
-        if values[0] <= 0.0:
-            raise ParseError(f"separation must be positive, got {values[0]}",
-                             line=lineno)
-        if values[2] < 0.0:
-            raise ParseError(f"sigma must be >= 0, got {values[2]}",
-                             line=lineno)
-        rows.append(values)
-    if not rows:
-        raise ParseError("no data rows found")
+        if row[2] < 0.0:
+            raise ParseError(f"sigma must be >= 0, got {row[2]}", line=lineno)
+        rows.append(row)
     data = np.asarray(rows, dtype=float)
     return data[:, 0], data[:, 1], data[:, 2]

@@ -340,6 +340,10 @@ def test_cli_matrix_reports_only_commands_that_differ(tmp_path, monkeypatch,
             "--a-min", "1", "--a-max", "3", "--points", "3"] in matrix.MATRIX
     assert ["kk-verify", "--relations", "t-imag-axis", "--format", "csv",
             "--optical-data", matrix.OPTICAL] in matrix.MATRIX
+    # and data files in every form of the one row grammar, a refusal too
+    for name in (matrix.EXPT_PLAIN, matrix.EXPT_BAD):
+        assert ["gradient", "--radius", "150", "--expt", name] in matrix.MATRIX
+    assert any(matrix.OPTICAL_NOTES in argv for argv in matrix.MATRIX)
 
 
 def test_result_digest_reports_only_sets_that_differ(tmp_path, monkeypatch,
@@ -926,3 +930,16 @@ def test_non_convergence_exits_3(capsys, monkeypatch):
         "--points", "1"])
     assert (code, out) == (3, "")
     assert err == "error: wavevector quadrature stalled\n"
+
+
+def test_a_stalled_dispersion_integral_exits_3(capsys, monkeypatch):
+    integrate = nlcasimir.kramers_kronig.integrate
+
+    def stalled(f, edges, *args):
+        total, err, converged = integrate(f, edges, *args)
+        return total, err, np.zeros_like(converged)
+
+    monkeypatch.setattr(nlcasimir.kramers_kronig, "integrate", stalled)
+    code, out, err = run_cli(capsys, ["kk-verify", "--kperp", "0.2"])
+    assert (code, out) == (3, "")
+    assert err == "error: dispersion integral stalled\n"

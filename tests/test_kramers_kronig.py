@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import nlcasimir.kramers_kronig as kk
-from nlcasimir import (RELATIONS, DomainError, Drude, DrudeParams,
-                       NonlocalAlt, NonlocalParams, Plasma, eval_imag_axis,
-                       eval_real_axis, gold_default, verify_kk)
+from nlcasimir import (RELATIONS, ConvergenceError, DomainError, Drude,
+                       DrudeParams, NonlocalAlt, NonlocalParams, Plasma,
+                       eval_imag_axis, eval_real_axis, gold_default, verify_kk)
 
 from reference_paths import PVSettings, pv_integral
 
@@ -327,3 +327,15 @@ def test_the_default_grid_is_built_once_and_read_only():
         grid[0] = 1.0
     report, = kk.verify_kk(["t-imag-axis"], GOLD, 0.2)
     assert report.grid == tuple(np.geomspace(0.05, 5.0, 13))
+
+
+def test_an_unconverged_dispersion_integral_raises(monkeypatch):
+    integrate = kk.integrate
+
+    def stalled(f, edges, *args):
+        total, err, converged = integrate(f, edges, *args)
+        return total, err, np.zeros_like(converged)
+
+    monkeypatch.setattr(kk, "integrate", stalled)
+    with pytest.raises(ConvergenceError, match="dispersion integral stalled"):
+        verify_kk(["t-imag-axis"], GOLD, 0.2)

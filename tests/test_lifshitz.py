@@ -800,3 +800,37 @@ def test_a_cold_cored_sweep_shares_its_rounds(monkeypatch):
         assert casimir_pressures(queries) == alone
         monkeypatch.setattr(lifshitz, "_integrate", _integrate)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("temperature, term_tol, rows, l_cap", [
+    (1e-8, 1e-100, 3928676677585, 1457785730336),
+    (1e-3, 1e-60, 24429188, 14578857),
+    (0.05, 1e-40, 332223, 292557)])
+def test_a_direct_sum_predicted_past_l_cap_is_refused_before_any_row(
+        monkeypatch, temperature, term_tol, rows, l_cap):
+    # each is a direct sum (dy^8 > term_tol) that would run out of memory
+    # or evaluate every row up to l_cap before it raised
+    def evaluating(*args):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(lifshitz, "_integrate", evaluating)
+    query = PressureQuery(1.0, temperature, DRUDE, term_tol=term_tol)
+    with pytest.raises(DomainError) as err:
+        casimir_pressures([PressureQuery(1.0, 300.0, DRUDE), query])
+    assert str(err.value) == (f"term_tol {term_tol} needs {rows} terms, more "
+                              f"than the {l_cap} a sum may take")
+
+
+def test_a_sum_that_never_falls_below_term_tol_stops_at_l_cap(monkeypatch):
+    # every term 1.0: the sum never meets term_tol and raises at l_cap,
+    # int(80 / dy) + 1000 = 1048 at 1 um and 300 K
+    def flat(model, quad_tol, c1, xi, y_lo):
+        return np.ones(len(y_lo)), np.zeros(len(y_lo)), np.ones(len(y_lo), bool)
+
+    monkeypatch.setattr(lifshitz, "_integrate", flat)
+    with pytest.raises(ConvergenceError) as err:
+        casimir_pressure(PressureQuery(1.0, 300.0, DRUDE))
+    assert str(err.value) == ("Matsubara sum still above term_tol at l = 1048 "
+                              "(a = 1.0 um, T = 300.0 K)")
+    prefactor = -CONSTANTS.boltzmann * 300.0 / (8.0 * math.pi)
+    assert err.value.last_estimate == pressure_to_pascal(prefactor * 1048.5)
